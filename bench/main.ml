@@ -574,7 +574,7 @@ let micro () =
   let pkt = Packet.Builder.ipv4 ~flow (Packet.Builder.Tcp { seq = 0l; flags = 0x10 }) in
   let view = Packet.Pkt.parse pkt in
   let env = Softnic.Feature.make_env () in
-  let resolver = model.resolve env pkt view in
+  let resolver f = model.resolve f env pkt view in
   let tests =
     [
       Bechamel.Test.make ~name:"accessor aligned 32b (rss)"
@@ -860,13 +860,16 @@ let parallel_domains = [ 1; 2; 4 ]
 
    The wall gate compares {e effective} wall — the busy-time critical
    path (packet-weighted median per-packet chunk cost times packets, per
-   domain; see Parallel.robust_busy) — not spawn-to-join wall, because
-   on a host with fewer cores than domains the spawn-to-join clock
-   cannot improve no matter how good the code is. Spawn-to-join speedup
-   is still reported, informationally. *)
+   domain; see Parallel.robust_busy) — not the raw wall clock, because
+   on a host with fewer cores than domains the raw clock cannot improve
+   no matter how good the code is. The raw wall speedup is still
+   reported, informationally.
+
+   The allocation budget sits above the ~100 minor words/pkt the hot
+   leg measures with staged completion writers and table Toeplitz. *)
 
 let hot_reps = 3
-let minor_words_budget = 400.0
+let minor_words_budget = 150.0
 
 type parallel_point = {
   pp_domains : int;
@@ -935,7 +938,7 @@ let parallel_sweep () =
   let p1 = find 1 and p4 = find 4 in
   let model_speedup = model_mpps p4.pp_model /. model_mpps p1.pp_model in
   let wall_speedup = p1.pp_hot.eff_wall_s /. p4.pp_hot.eff_wall_s in
-  let spawn_join_speedup = p1.pp_hot.wall_s /. p4.pp_hot.wall_s in
+  let raw_wall_speedup = p1.pp_hot.wall_s /. p4.pp_hot.wall_s in
   let wall_enforced = true in
   let minor_worst =
     List.fold_left (fun acc p -> Float.max acc p.pp_minor_worst) 0.0 points
@@ -945,9 +948,9 @@ let parallel_sweep () =
      speedup 4v1: %.2fx (acceptance: >= 2.0x, enforced)\n"
     model_speedup wall_speedup;
   Printf.printf
-    "spawn-join wall speedup 4v1: %.2fx (informational; %d hw domains)   \
+    "raw wall speedup 4v1: %.2fx (informational; %d hw domains)   \
      minor words/pkt worst: %.1f (budget %.0f)\n"
-    spawn_join_speedup hw_domains minor_worst minor_words_budget;
+    raw_wall_speedup hw_domains minor_worst minor_words_budget;
   List.iter
     (fun p ->
       List.iter
@@ -995,15 +998,15 @@ let parallel_sweep () =
         \"busy-time critical path (packet-weighted median per-packet chunk \
         cost x packets, max over domains); robust to timeslicing when \
         domains outnumber cores. Hot leg: account=false pregen=true, \
-        best of %d reps. spawn_join_speedup_4v1 is the raw spawn-to-join \
-        clock, informational.\",\n    \"points\": [\n%s\n    ],\n    \
+        best of %d reps. spawn_join_speedup_4v1 (name kept for the schema) \
+        is the raw dispatch-to-completion clock, informational.\",\n    \"points\": [\n%s\n    ],\n    \
         \"model_speedup_4v1\": %.2f,\n    \"wall_speedup_4v1\": %.2f,\n    \
         \"spawn_join_speedup_4v1\": %.2f,\n    \"wall_enforced\": %b,\n    \
         \"minor_words_per_pkt_worst\": %.1f,\n    \"minor_words_budget\": \
         %.0f,\n    \"meets_1_5x\": %b,\n    \"meets_wall_2x\": %b,\n    \
         \"meets_alloc_budget\": %b\n  }"
        model.spec.nic_name queues pkts hw_domains hot_reps hot_reps
-       point_frags model_speedup wall_speedup spawn_join_speedup wall_enforced
+       point_frags model_speedup wall_speedup raw_wall_speedup wall_enforced
        minor_worst minor_words_budget (model_speedup >= 1.5)
        (wall_speedup >= 2.0)
        (minor_worst <= minor_words_budget))

@@ -1,8 +1,19 @@
+(* The active path's completion writer, staged once per (model, path):
+   field [i] of the layout is written by [writers.(i)] with the value
+   [resolvers.(i)] computes for the packet, so injection does no
+   per-field lookup and builds no writer. *)
+type plan = {
+  writers : (bytes -> int64 -> unit) array;
+  resolvers :
+    (Softnic.Feature.env -> Packet.Pkt.t -> Packet.Pkt.view -> int64) array;
+}
+
 type t = {
   mutable model : Nic_models.Model.t;
   env : Softnic.Feature.env;
   mutable config : Opendesc.Context.assignment;
   mutable active_path : Opendesc.Path.t;
+  mutable plan : plan;
   cmpt_ring : Ring.t;
   pkt_ring : Ring.t;
   tx_ring : Ring.t;
@@ -11,13 +22,6 @@ type t = {
   inj_cmpt : bytes;  (** reusable RX completion-record buffer *)
   rx_scratch_cmpt : bytes;  (** reusable [rx_consume] harvest buffers *)
   rx_scratch_pkt : bytes;
-  (* The resolve closure handed to [Accessor.write_record] is allocated
-     once at [create] and reads the packet being injected out of these
-     two mutable fields — the per-packet closure was one of the larger
-     allocation sources on the RX path. *)
-  mutable resolve_pkt : Packet.Pkt.t;
-  mutable resolve_view : Packet.Pkt.view;
-  mutable resolve_f : Opendesc.Path.lfield -> int64;
   buf_size : int;
   mutable tx_format : Opendesc.Descparser.t option;
   mutable rx_count : int;
@@ -48,6 +52,17 @@ let path_for_config (spec : Opendesc.Nic_spec.t) config =
 
 let max_cmpt_size (spec : Opendesc.Nic_spec.t) =
   List.fold_left (fun acc p -> max acc (Opendesc.Path.size p)) 1 spec.paths
+
+let stage (model : Nic_models.Model.t) (path : Opendesc.Path.t) =
+  let fields = Array.of_list path.p_layout.fields in
+  {
+    writers =
+      Array.map
+        (fun (f : Opendesc.Path.lfield) ->
+          Opendesc.Accessor.writer ~bit_off:f.l_bit_off ~bits:f.l_bits)
+        fields;
+    resolvers = Array.map model.resolve fields;
+  }
 
 let smallest_tx (spec : Opendesc.Nic_spec.t) =
   match spec.tx_formats with
@@ -85,6 +100,7 @@ let create ?(queue_depth = 512) ?(buf_size = 2048) ~config (model : Nic_models.M
           env = Softnic.Feature.make_env ();
           config;
           active_path = path;
+          plan = stage model path;
           cmpt_ring;
           pkt_ring;
           tx_ring;
@@ -93,9 +109,6 @@ let create ?(queue_depth = 512) ?(buf_size = 2048) ~config (model : Nic_models.M
           inj_cmpt = Bytes.create (Ring.slot_size cmpt_ring);
           rx_scratch_cmpt = Bytes.create (Ring.slot_size cmpt_ring);
           rx_scratch_pkt = Bytes.create (Ring.slot_size pkt_ring);
-          resolve_pkt = Packet.Pkt.create Bytes.empty;
-          resolve_view = Packet.Pkt.parse (Packet.Pkt.create Bytes.empty);
-          resolve_f = (fun _ -> 0L);
           buf_size;
           tx_format = smallest_tx model.spec;
           rx_count = 0;
@@ -105,8 +118,6 @@ let create ?(queue_depth = 512) ?(buf_size = 2048) ~config (model : Nic_models.M
           doorbells = 0;
         }
       in
-      t.resolve_f <-
-        (fun f -> t.model.resolve t.env t.resolve_pkt t.resolve_view f);
       Ok t
 
 let create_exn ?queue_depth ?buf_size ~config model =
@@ -123,6 +134,7 @@ let configure t config =
   | Some path ->
       t.config <- config;
       t.active_path <- path;
+      t.plan <- stage t.model path;
       Ok ()
 
 let active_path t = t.active_path
@@ -166,9 +178,8 @@ let upgrade t ~config (model : Nic_models.Model.t) =
         t.model <- model;
         t.config <- config;
         t.active_path <- path;
+        t.plan <- stage model path;
         t.tx_format <- smallest_tx model.spec;
-        (* [resolve_f] reads [t.model] at call time, so the closure
-           installed at [create] now resolves against the new firmware. *)
         Ok ()
       end
 
@@ -183,9 +194,9 @@ let buf_size t = t.buf_size
 (* The pooled injection primitive: the payload lives in the first [len]
    bytes of [buf] (which may be a reusable scratch buffer longer than the
    packet). Everything is staged through the preallocated [inj_slot] /
-   [inj_cmpt] buffers and the once-allocated [resolve_f] closure, so
-   injecting a packet allocates nothing beyond the [Pkt.t] wrapper the
-   parser needs. *)
+   [inj_cmpt] buffers and the active path's staged [plan], so injecting
+   a packet allocates nothing beyond the [Pkt.t] wrapper and view the
+   parser needs and what the semantic computations themselves box. *)
 let rx_inject_raw t buf ~len =
   if len > t.buf_size || Ring.is_full t.pkt_ring || Ring.is_full t.cmpt_ring then begin
     t.drops <- t.drops + 1;
@@ -199,9 +210,12 @@ let rx_inject_raw t buf ~len =
     (* Completion record per the active path's layout. *)
     let layout = t.active_path.p_layout in
     Bytes.fill t.inj_cmpt 0 layout.size_bytes '\x00';
-    t.resolve_pkt <- Packet.Pkt.sub buf ~len;
-    t.resolve_view <- Packet.Pkt.parse t.resolve_pkt;
-    Opendesc.Accessor.write_record layout t.inj_cmpt t.resolve_f;
+    let pkt = Packet.Pkt.sub buf ~len in
+    let view = Packet.Pkt.parse pkt in
+    let { writers; resolvers } = t.plan in
+    for i = 0 to Array.length writers - 1 do
+      writers.(i) t.inj_cmpt (resolvers.(i) t.env pkt view)
+    done;
     let ok2 = Ring.produce_dev ~len:layout.size_bytes t.cmpt_ring t.inj_cmpt in
     assert (ok1 && ok2);
     t.rx_count <- t.rx_count + 1;
@@ -239,19 +253,28 @@ let burst_create ?(capacity = 64) t =
 
 let burst_capacity b = Array.length b.bs_pkts
 
+(* Harvest copies only the packet's [len] bytes out of its ring slot,
+   past the 2-byte length prefix, so the payload lands at offset 0 like
+   {!rx_consume}'s and a 64 B packet moves 64 bytes, not the slot. *)
+let take_pkt t dst =
+  let ring = t.pkt_ring in
+  let mem = Dma.mem (Ring.dma ring) in
+  let off = Ring.slot_offset ring (Ring.cons_index ring) in
+  let len = Bytes.get_uint16_le mem off in
+  Bytes.blit mem (off + 2) dst 0 len;
+  let ok = Ring.release ring in
+  assert ok;
+  len
+
 let rx_consume_batch t (b : burst) =
   b.bs_count <- 0;
   let n = min (burst_capacity b) (Ring.available t.cmpt_ring) in
   let cmpt_len = t.active_path.p_layout.size_bytes in
   for i = 0 to n - 1 do
-    let ok1 = Ring.consume_host_into t.cmpt_ring b.bs_cmpts.(i) in
-    let ok2 = Ring.consume_host_into t.pkt_ring b.bs_pkts.(i) in
-    assert (ok1 && ok2);
-    (* Strip the 2-byte length prefix in place (overlapping blit is a
-       memmove) so the payload starts at offset 0 like {!rx_consume}. *)
-    let len = Bytes.get_uint16_le b.bs_pkts.(i) 0 in
-    Bytes.blit b.bs_pkts.(i) 2 b.bs_pkts.(i) 0 len;
-    b.bs_lens.(i) <- len;
+    let ok = Ring.consume_host_into t.cmpt_ring b.bs_cmpts.(i) in
+    (* rings advance in lockstep *)
+    assert (ok && not (Ring.is_empty t.pkt_ring));
+    b.bs_lens.(i) <- take_pkt t b.bs_pkts.(i);
     b.bs_cmpt_lens.(i) <- cmpt_len
   done;
   b.bs_count <- n;

@@ -7,6 +7,11 @@
     if the compiler and the device ever disagreed about a layout, every
     end-to-end test would fail.
 
+    The completion writer for the active path is staged whenever the
+    path or model changes ({!create}, {!configure}, {!upgrade}): one
+    (field writer, model resolver) pair per layout field, so injecting a
+    packet does no per-field lookup.
+
     RX: the "wire" side injects packets; the device computes its
     hardware metadata, DMAs the packet into a host buffer slot and a
     completion record into the completion ring.
@@ -117,7 +122,9 @@ val rx_consume_batch : t -> burst -> int
 (** Harvest up to [burst_capacity] ready completions into the burst in
     one poll, overwriting its previous contents. Returns the number
     harvested (0 when the ring is empty). Observably equivalent to
-    calling {!rx_consume} that many times. *)
+    calling {!rx_consume} that many times. Each packet's [len] bytes are
+    copied out of its ring slot, not the whole slot; only the first
+    [bs_lens.(i)] bytes of [bs_pkts.(i)] are meaningful. *)
 
 (** {1 Transmit} *)
 

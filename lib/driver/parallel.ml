@@ -12,6 +12,10 @@
    worker charges a domain-local ledger and the shards merge on demand
    (Stats.merge), so counters stay race-free without hot-path atomics.
 
+   Worker domains are persistent (see [member] below): spawned once,
+   parked on a condition variable between runs, and keeping their
+   handoff ring and burst buffers from run to run.
+
    Cost accounting is an optional observer ({!Cost.sink}): with
    [~account:false] workers pass [Cost.Null] to their consumers and the
    byte path runs with no ledger traffic at all, which is the
@@ -197,6 +201,18 @@ module Pktring = struct
   let advance t =
     t.c_head <- t.c_head + 1;
     if t.c_head - t.c_published >= publish_batch then publish_head t
+
+  (* Empty the ring for reuse by a new producer/consumer pair. Only
+     between runs, when neither side is touching it. *)
+  let reset t =
+    Atomic.set t.head 0;
+    Atomic.set t.tail 0;
+    t.p_tail <- 0;
+    t.p_published <- 0;
+    t.p_head_cache <- 0;
+    t.c_head <- 0;
+    t.c_published <- 0;
+    t.c_tail_cache <- 0
 end
 
 type result = {
@@ -269,7 +285,7 @@ type swap_ctl = {
       (** indexed by queue id; only the owning worker writes *)
 }
 
-(* What one worker domain reports back through Domain.join. *)
+(* What one worker reports back at the end of a run. *)
 type report = {
   rp_pkts : int;
   rp_cycles : float;
@@ -287,6 +303,56 @@ let spin_limit = 128
 let park_min_s = 2e-6
 let park_max_s = 256e-6
 
+(* One step of that ladder; true when the step parked. *)
+let backoff idle park =
+  let parks = !idle >= spin_limit in
+  if parks then begin
+    Unix.sleepf !park;
+    park := Float.min park_max_s (!park *. 2.0)
+  end
+  else Domain.cpu_relax ();
+  incr idle;
+  parks
+
+(* Raised by every domain of a run that is still waiting once another
+   one has failed, so the run winds down and the first real failure
+   re-raises in the caller. *)
+exception Aborted
+
+let wait_until ~abort ready =
+  let idle = ref 0 and park = ref park_min_s in
+  while not (ready ()) do
+    if Atomic.get abort then raise Aborted;
+    ignore (backoff idle park)
+  done
+
+(* One domain's chunk timings for a run. The buffers are kept across
+   runs (grown to the largest run) so a run allocates none of them. *)
+type timings = {
+  mutable chunk_s : float array;
+  mutable chunk_n : int array;
+  mutable nchunks : int;
+  mutable extra_s : float;  (** work timed with no packets (final sweeps) *)
+}
+
+let timings () = { chunk_s = [||]; chunk_n = [||]; nchunks = 0; extra_s = 0.0 }
+
+let start_timings t ~cap =
+  if Array.length t.chunk_s < cap then begin
+    t.chunk_s <- Array.make cap 0.0;
+    t.chunk_n <- Array.make cap 0
+  end;
+  t.nchunks <- 0;
+  t.extra_s <- 0.0
+
+let record t s n =
+  if n = 0 then t.extra_s <- t.extra_s +. s
+  else if t.nchunks < Array.length t.chunk_s then begin
+    t.chunk_s.(t.nchunks) <- s;
+    t.chunk_n.(t.nchunks) <- n;
+    t.nchunks <- t.nchunks + 1
+  end
+
 (* Preemption-robust busy time from per-chunk timings. Each domain
    clocks contiguous work chunks (a pop/inject run plus its harvest; a
    run of ring pushes) as (seconds, packets). On a machine with fewer
@@ -296,7 +362,7 @@ let park_max_s = 256e-6
    (preemption hits a minority of chunks). Busy time is then
    median-cost x packets — an estimate of the time this domain's work
    would take on its own core. *)
-let robust_busy ~chunk_s ~chunk_n ~nchunks ~extra_s =
+let robust_busy { chunk_s; chunk_n; nchunks; extra_s } =
   let total = ref 0 in
   for i = 0 to nchunks - 1 do
     total := !total + chunk_n.(i)
@@ -320,32 +386,130 @@ let robust_busy ~chunk_s ~chunk_n ~nchunks ~extra_s =
     (chunk_s.(m) /. float_of_int chunk_n.(m) *. float_of_int !total) +. extra_s
   end
 
-let worker ~w ~queue_ids ~devices ~local ~ring ~stop ~batch ~stack ~account
-    ~pkts_hint ~per_queue ~delivered ~faults ~swap () =
+(* Persistent engine workers. Worker domains are spawned once and serve
+   every later run: between runs each blocks on its condition variable
+   (no spinning), and it keeps its handoff ring and burst buffers, so a
+   run costs two mutex handoffs per worker instead of a Domain.spawn and
+   join (whose per-spawn heap growth the caller's retained values
+   amplify in OCaml 5). The pool grows to the largest worker count ever
+   requested. A job's exception is stored and re-raised in the caller. *)
+type member = {
+  lock : Mutex.t;
+  cond : Condition.t;
+  mutable job : (member -> unit) option;
+  mutable finished : bool;
+  mutable failure : (exn * Printexc.raw_backtrace) option;
+  mutable ring : Pktring.t option;  (** the handoff ring, kept across runs *)
+  mutable bursts : Device.burst array;  (** per owned queue, kept across runs *)
+  times : timings;
+}
+
+let rec serve m =
+  Mutex.lock m.lock;
+  while Option.is_none m.job do
+    Condition.wait m.cond m.lock
+  done;
+  let job = Option.get m.job in
+  m.job <- None;
+  Mutex.unlock m.lock;
+  let failure =
+    match job m with
+    | () -> None
+    | exception e -> Some (e, Printexc.get_raw_backtrace ())
+  in
+  Mutex.lock m.lock;
+  m.failure <- failure;
+  m.finished <- true;
+  Condition.broadcast m.cond;
+  Mutex.unlock m.lock;
+  serve m
+
+(* Runs are serialised: one run owns the pool (and the producer's
+   timings) at a time. *)
+let pool_lock = Mutex.create ()
+let pool : member array ref = ref [||]
+let producer_times = timings ()
+
+let members n =
+  let have = Array.length !pool in
+  if n > have then
+    pool :=
+      Array.append !pool
+        (Array.init (n - have) (fun _ ->
+             let m =
+               {
+                 lock = Mutex.create ();
+                 cond = Condition.create ();
+                 job = None;
+                 finished = true;
+                 failure = None;
+                 ring = None;
+                 bursts = [||];
+                 times = timings ();
+               }
+             in
+             ignore (Domain.spawn (fun () -> serve m));
+             m));
+  !pool
+
+let submit m job =
+  Mutex.protect m.lock (fun () ->
+      m.finished <- false;
+      m.failure <- None;
+      m.job <- Some job;
+      Condition.broadcast m.cond)
+
+let await m =
+  Mutex.protect m.lock (fun () ->
+      while not m.finished do
+        Condition.wait m.cond m.lock
+      done;
+      m.failure)
+
+let ring_for m ~capacity ~slot_size =
+  match m.ring with
+  | Some r
+    when capacity >= 1
+         && Pktring.capacity r = Pktring.next_pow2 capacity
+         && Pktring.slot_size r = slot_size ->
+      Pktring.reset r;
+      r
+  | _ ->
+      let r = Pktring.create ~capacity ~slot_size in
+      m.ring <- Some r;
+      r
+
+let bursts_for m devices ~batch =
+  let fits d (b : Device.burst) =
+    Device.burst_capacity b = batch
+    && Bytes.length b.bs_pkts.(0) = Ring.slot_size (Device.pkt_ring d)
+    && Bytes.length b.bs_cmpts.(0) = Ring.slot_size (Device.cmpt_ring d)
+  in
+  let bursts =
+    Array.mapi
+      (fun i d ->
+        if i < Array.length m.bursts && fits d m.bursts.(i) then m.bursts.(i)
+        else Device.burst_create ~capacity:batch d)
+      devices
+  in
+  m.bursts <- bursts;
+  bursts
+
+let worker ~w ~m ~queue_ids ~devices ~local ~ring ~stop ~abort ~batch ~stack
+    ~account ~pkts_hint ~per_queue ~delivered ~faults ~swap () =
   let env = Softnic.Feature.make_env () in
   let ledger = Cost.create () in
   let sink_acct = if account then Cost.ledger ledger else Cost.null in
-  let bursts = Array.map (fun d -> Device.burst_create ~capacity:batch d) devices in
+  let bursts = bursts_for m devices ~batch in
   let consumers = Array.map stack queue_ids in
   let hist : (int, int) Hashtbl.t = Hashtbl.create 8 in
   let nbursts = ref 0 in
   let consumed = ref 0 in
   let sink = ref 0L in
   let spins = ref 0 and parks = ref 0 and wakes = ref 0 in
-  (* Chunk timing buffers, preallocated so the loop never grows them. *)
-  let cap = pkts_hint + 2 in
-  let chunk_s = Array.make cap 0.0 in
-  let chunk_n = Array.make cap 0 in
-  let nchunks = ref 0 in
-  let tail_s = ref 0.0 in
-  let record_chunk s n =
-    if n > 0 && !nchunks < cap then begin
-      chunk_s.(!nchunks) <- s;
-      chunk_n.(!nchunks) <- n;
-      incr nchunks
-    end
-    else if n = 0 then tail_s := !tail_s +. s
-  in
+  (* Chunk timing buffers, sized up front so the loop never grows them. *)
+  start_timings m.times ~cap:(pkts_hint + 4);
+  let record_chunk = record m.times in
   let inject i buf len =
     match faults with
     | None -> ignore (Device.rx_inject_raw devices.(i) buf ~len)
@@ -363,6 +527,10 @@ let worker ~w ~queue_ids ~devices ~local ~ring ~stop ~batch ~stack ~account
             Packet.Pkt.create (Bytes.create len)
         in
         ignore (Fault.rx_inject fqs.(i) pkt)
+  in
+  let inject_slot s =
+    inject local.(Pktring.qid ring s) (Pktring.buf ring s) (Pktring.len ring s);
+    Pktring.advance ring
   in
   let take i b =
     match faults with
@@ -424,43 +592,78 @@ let worker ~w ~queue_ids ~devices ~local ~ring ~stop ~batch ~stack ~account
           ignore (sweep ())
         done
   in
-  (* Pop/inject in runs of up to a full batch per owned queue, then
-     harvest — keeps bursts near capacity, so the amortised per-burst
-     charges match the sequential batched path. Each run+harvest is one
-     timed chunk. *)
+  let quiesce_pending () =
+    match swap with
+    | Some ctl -> (not !swapped) && Atomic.get ctl.ctl_quiesce
+    | None -> false
+  in
+  (* The idle ladder, shared by waits between runs and inside them. *)
+  let idle = ref 0 and park_s = ref park_min_s and parked = ref false in
+  let wait () =
+    if Atomic.get abort then raise Aborted;
+    if backoff idle park_s then begin
+      incr parks;
+      parked := true
+    end
+    else incr spins
+  in
+  let progress () =
+    if !parked then begin
+      incr wakes;
+      parked := false
+    end;
+    idle := 0;
+    park_s := park_min_s
+  in
+  (* A run pops exactly [batch] per owned queue, then harvests — bursts
+     near capacity, so the amortised per-burst charges match the
+     sequential batched path. It ends early only when the stream pauses
+     for good: the producer stopped or asked to quiesce, and the ring
+     re-reads empty after that flag (so the producer's final flush is
+     visible). Run boundaries, and so bursts and the ledger, depend only
+     on the packet sequence, never on how fast the producer was. Waiting
+     for it inside a run is idle time (spins/parks), excluded from the
+     run's timed chunk. *)
   let threshold = batch * Array.length devices in
+  let run first =
+    let t0 = Unix.gettimeofday () in
+    progress ();
+    inject_slot first;
+    let pops = ref 1 in
+    let waited = ref 0.0 and wait_t0 = ref 0.0 and waiting = ref false in
+    let more = ref (!pops < threshold) in
+    while !more do
+      let s = Pktring.peek ring in
+      if s >= 0 then begin
+        if !waiting then begin
+          waiting := false;
+          waited := !waited +. (Unix.gettimeofday () -. !wait_t0);
+          progress ()
+        end;
+        inject_slot s;
+        incr pops;
+        more := !pops < threshold
+      end
+      else if (Atomic.get stop || quiesce_pending ()) && Pktring.peek ring < 0
+      then more := false
+      else begin
+        if not !waiting then begin
+          waiting := true;
+          wait_t0 := Unix.gettimeofday ()
+        end;
+        wait ()
+      end
+    done;
+    if !waiting then waited := !waited +. (Unix.gettimeofday () -. !wait_t0);
+    harvest_all ();
+    record_chunk (Unix.gettimeofday () -. t0 -. !waited) !pops
+  in
   let mw0 = Gc.minor_words () in
   let running = ref true in
-  let idle = ref 0 in
-  let park_s = ref park_min_s in
-  let parked = ref false in
   while !running do
     let first = Pktring.peek ring in
-    if first >= 0 then begin
-      let t0 = Unix.gettimeofday () in
-      if !parked then begin
-        incr wakes;
-        parked := false
-      end;
-      idle := 0;
-      park_s := park_min_s;
-      let pops = ref 0 in
-      let slot = ref first in
-      while !slot >= 0 do
-        let q = Pktring.qid ring !slot in
-        inject local.(q) (Pktring.buf ring !slot) (Pktring.len ring !slot);
-        Pktring.advance ring;
-        incr pops;
-        slot := if !pops < threshold then Pktring.peek ring else -1
-      done;
-      harvest_all ();
-      record_chunk (Unix.gettimeofday () -. t0) !pops
-    end
-    else if
-      match swap with
-      | Some ctl -> (not !swapped) && Atomic.get ctl.ctl_quiesce
-      | None -> false
-    then begin
+    if first >= 0 then run first
+    else if quiesce_pending () then begin
       let ctl = Option.get swap in
       let t0 = Unix.gettimeofday () in
       (* Reach the quiescent point. The quiesce flag was raised after the
@@ -472,9 +675,7 @@ let worker ~w ~queue_ids ~devices ~local ~ring ~stop ~batch ~stack ~account
       let rec drain_ring () =
         let s = Pktring.peek ring in
         if s >= 0 then begin
-          let q = Pktring.qid ring s in
-          inject local.(q) (Pktring.buf ring s) (Pktring.len ring s);
-          Pktring.advance ring;
+          inject_slot s;
           incr pops;
           drain_ring ()
         end
@@ -496,20 +697,8 @@ let worker ~w ~queue_ids ~devices ~local ~ring ~stop ~batch ~stack ~account
       ignore (Atomic.fetch_and_add ctl.ctl_quiesced 1);
       (* Wait for the verdict — classification, recompile and
          certification run concurrently on the producer domain. *)
-      let idle = ref 0 and park = ref park_min_s in
-      let rec await () =
-        match Atomic.get ctl.ctl_cmd with
-        | Some c -> c
-        | None ->
-            if !idle < spin_limit then Domain.cpu_relax ()
-            else begin
-              Unix.sleepf !park;
-              park := Float.min park_max_s (!park *. 2.0)
-            end;
-            incr idle;
-            await ()
-      in
-      (match await () with
+      wait_until ~abort (fun () -> Option.is_some (Atomic.get ctl.ctl_cmd));
+      (match Option.get (Atomic.get ctl.ctl_cmd) with
       | Swap_apply { sc_config; sc_model; sc_stack } ->
           (* Torn-plan oracle: the epoch flip is only legal at a dry
              point — a completion serialised under the old contract must
@@ -553,24 +742,10 @@ let worker ~w ~queue_ids ~devices ~local ~ring ~stop ~batch ~stack ~account
       record_chunk (Unix.gettimeofday () -. t0) 0;
       running := false
     end
-    else begin
-      if !idle < spin_limit then begin
-        Domain.cpu_relax ();
-        incr spins
-      end
-      else begin
-        Unix.sleepf !park_s;
-        incr parks;
-        parked := true;
-        park_s := Float.min park_max_s (!park_s *. 2.0)
-      end;
-      incr idle
-    end
+    else wait ()
   done;
   let minor_words = Gc.minor_words () -. mw0 in
-  let busy =
-    robust_busy ~chunk_s ~chunk_n ~nchunks:!nchunks ~extra_s:!tail_s
-  in
+  let busy = robust_busy m.times in
   let dma = Array.fold_left (fun a d -> a + Device.dma_bytes d) 0 devices in
   let drops = Array.fold_left (fun a d -> a + Device.drops d) 0 devices in
   let stats =
@@ -600,10 +775,24 @@ let worker ~w ~queue_ids ~devices ~local ~ring ~stop ~batch ~stack ~account
     rp_minor_words = minor_words;
   }
 
-let run ?(domains = 1) ?(batch = 32) ?(ring_capacity = 1024) ?(collect = false)
-    ?(account = true) ?(pregen = false) ?plan ~mq ~stack ~pkts ~workload () =
-  if domains < 1 then invalid_arg "Parallel.run: domains must be >= 1";
-  if batch < 1 then invalid_arg "Parallel.run: batch must be >= 1";
+(* What the producer side of a run may do: push one packet to its
+   queue's owner, publish everything pushed so far, and wait (abortably)
+   until every worker has bumped a counter. *)
+type producer = {
+  push : bytes -> int -> int -> unit;  (** buffer, length, queue *)
+  flush : unit -> unit;
+  all_workers : int Atomic.t -> unit;
+}
+
+(* The engine both entry points share: hand one job per worker domain to
+   the pool, run [produce] on the calling domain as the steering /
+   injection producer, raise the stop flag, wait for every worker and
+   merge their reports. The first real failure — a worker's before the
+   producer's — re-raises here once every worker has wound down. *)
+let engine ~who ~name ~domains ~batch ~ring_capacity ~collect ~account ~plan ~mq
+    ~stack ~pkts ~swap produce =
+  if domains < 1 then invalid_arg (who ^ ": domains must be >= 1");
+  if batch < 1 then invalid_arg (who ^ ": batch must be >= 1");
   let nq = Mq.queues mq in
   let workers = min domains nq in
   let owner q = q mod workers in
@@ -623,11 +812,122 @@ let run ?(domains = 1) ?(batch = 32) ?(ring_capacity = 1024) ?(collect = false)
   let slot_size =
     Array.fold_left (fun a d -> max a (Device.buf_size d)) 64 devices
   in
+  Mutex.protect pool_lock @@ fun () ->
+  let ms = members workers in
   let rings =
-    Array.init workers (fun _ ->
-        Pktring.create ~capacity:ring_capacity ~slot_size)
+    Array.init workers (fun w ->
+        ring_for ms.(w) ~capacity:ring_capacity ~slot_size)
   in
-  let stop = Atomic.make false in
+  let stop = Atomic.make false and abort = Atomic.make false in
+  let reports = Array.make workers None in
+  let t0 = Unix.gettimeofday () in
+  for w = 0 to workers - 1 do
+    let queue_ids =
+      Array.of_list (List.filter (fun q -> owner q = w) (List.init nq Fun.id))
+    in
+    let wdevices = Array.map (fun q -> devices.(q)) queue_ids in
+    let local = Array.make nq (-1) in
+    Array.iteri (fun i q -> local.(q) <- i) queue_ids;
+    let wfaults =
+      Option.map (fun fqs -> Array.map (fun q -> fqs.(q)) queue_ids) fqs
+    in
+    submit ms.(w) (fun m ->
+        try
+          reports.(w) <-
+            Some
+              (worker ~w ~m ~queue_ids ~devices:wdevices ~local ~ring:rings.(w)
+                 ~stop ~abort ~batch ~stack ~account ~pkts_hint:pkts ~per_queue
+                 ~delivered ~faults:wfaults ~swap ())
+        with e ->
+          let bt = Printexc.get_raw_backtrace () in
+          Atomic.set abort true;
+          Printexc.raise_with_backtrace e bt)
+  done;
+  (* The steering/injection side. Chunks of pushes are timed the same
+     way worker chunks are (see [robust_busy]); blocking on a full ring
+     ends the current chunk so the wait is not billed as work. *)
+  start_timings producer_times ~cap:(pkts + 4);
+  let pushed_in_chunk = ref 0 in
+  let chunk_t0 = ref (Unix.gettimeofday ()) in
+  let end_chunk () =
+    if !pushed_in_chunk > 0 then
+      record producer_times (Unix.gettimeofday () -. !chunk_t0) !pushed_in_chunk;
+    pushed_in_chunk := 0;
+    chunk_t0 := Unix.gettimeofday ()
+  in
+  let push buf len q =
+    let ring = rings.(owner q) in
+    if not (Pktring.try_push ring buf ~len ~qid:q) then begin
+      end_chunk ();
+      wait_until ~abort (fun () -> Pktring.try_push ring buf ~len ~qid:q);
+      chunk_t0 := Unix.gettimeofday ()
+    end;
+    incr pushed_in_chunk;
+    if !pushed_in_chunk >= 256 then end_chunk ()
+  in
+  let flush () =
+    Array.iter Pktring.flush rings;
+    end_chunk ()
+  in
+  let all_workers cell =
+    wait_until ~abort (fun () -> Atomic.get cell >= workers)
+  in
+  let p_mw0 = Gc.minor_words () in
+  let produced =
+    match produce { push; flush; all_workers } with
+    | v -> Ok v
+    | exception e -> Error (e, Printexc.get_raw_backtrace ())
+  in
+  let p_minor_words = Gc.minor_words () -. p_mw0 in
+  if Result.is_error produced then Atomic.set abort true;
+  Atomic.set stop true;
+  let failures = Array.map await (Array.sub ms 0 workers) in
+  let wall_s = Unix.gettimeofday () -. t0 in
+  let real = function Some (Aborted, _) | None -> None | Some f -> Some f in
+  (match (Array.find_map real failures, produced) with
+  | Some (e, bt), _ | None, Error (e, bt) -> Printexc.raise_with_backtrace e bt
+  | None, Ok _ -> ());
+  let reports = Array.map Option.get reports in
+  let producer_busy_s = robust_busy producer_times in
+  let busy_s = Array.map (fun r -> r.rp_busy_s) reports in
+  let total_pkts = Array.fold_left (fun a r -> a + r.rp_pkts) 0 reports in
+  let minor_words =
+    Array.fold_left (fun a r -> a +. r.rp_minor_words) p_minor_words reports
+  in
+  let domain_stats = Array.map (fun r -> r.rp_stats) reports in
+  let result =
+    {
+      pkts = total_pkts;
+      per_queue;
+      stats = Stats.merge ~name (Array.to_list domain_stats);
+      domain_stats;
+      domain_cycles = Array.map (fun r -> r.rp_cycles) reports;
+      wall_s;
+      busy_s;
+      producer_busy_s;
+      eff_wall_s = Array.fold_left Float.max producer_busy_s busy_s;
+      minor_words_per_pkt =
+        (if total_pkts = 0 then 0.0
+         else minor_words /. float_of_int total_pkts);
+      stranded = Array.fold_left (fun a r -> a + Pktring.length r) 0 rings;
+      drops = Array.fold_left (fun a d -> a + Device.drops d) 0 devices;
+      sink = Array.fold_left (fun a r -> Int64.add a r.rp_sink) 0L reports;
+      delivered = Option.map (Array.map List.rev) delivered;
+      faults = Option.map (Array.map Fault.counters) fqs;
+    }
+  in
+  (result, Result.get_ok produced)
+
+(* Steer and push [n] packets of [workload], then publish them. *)
+let push_stream p ~mq ~cache ~workload n =
+  for _ = 1 to n do
+    let pkt = Packet.Workload.next workload in
+    p.push pkt.Packet.Pkt.buf pkt.Packet.Pkt.len (Mq.steer_cached mq cache pkt)
+  done;
+  p.flush ()
+
+let run ?(domains = 1) ?(batch = 32) ?(ring_capacity = 1024) ?(collect = false)
+    ?(account = true) ?(pregen = false) ?plan ~mq ~stack ~pkts ~workload () =
   (* With [~pregen] the workload generation and steering run before the
      clock starts, so the measured region is the drain machinery itself:
      handoff, injection, harvest, consume. *)
@@ -647,115 +947,18 @@ let run ?(domains = 1) ?(batch = 32) ?(ring_capacity = 1024) ?(collect = false)
       Some (bufs, lens, qs)
     end
   in
-  let t0 = Unix.gettimeofday () in
-  let doms =
-    Array.init workers (fun w ->
-        let queue_ids =
-          Array.of_list
-            (List.filter (fun q -> owner q = w) (List.init nq Fun.id))
-        in
-        let wdevices = Array.map (fun q -> devices.(q)) queue_ids in
-        let local = Array.make nq (-1) in
-        Array.iteri (fun i q -> local.(q) <- i) queue_ids;
-        let wfaults =
-          Option.map (fun fqs -> Array.map (fun q -> fqs.(q)) queue_ids) fqs
-        in
-        Domain.spawn
-          (worker ~w ~queue_ids ~devices:wdevices ~local ~ring:rings.(w) ~stop
-             ~batch ~stack ~account ~pkts_hint:pkts ~per_queue ~delivered
-             ~faults:wfaults ~swap:None))
-  in
-  (* The steering/injection domain. Chunks of pushes are timed the same
-     way worker chunks are (see [robust_busy]); blocking on a full ring
-     ends the current chunk so the wait is not billed as work. *)
-  let p_cap = pkts + 2 in
-  let p_chunk_s = Array.make p_cap 0.0 in
-  let p_chunk_n = Array.make p_cap 0 in
-  let p_nchunks = ref 0 in
-  let p_record s n =
-    if n > 0 && !p_nchunks < p_cap then begin
-      p_chunk_s.(!p_nchunks) <- s;
-      p_chunk_n.(!p_nchunks) <- n;
-      incr p_nchunks
-    end
-  in
-  let pushed_in_chunk = ref 0 in
-  let chunk_t0 = ref (Unix.gettimeofday ()) in
-  let end_chunk () =
-    p_record (Unix.gettimeofday () -. !chunk_t0) !pushed_in_chunk;
-    pushed_in_chunk := 0;
-    chunk_t0 := Unix.gettimeofday ()
-  in
-  let p_mw0 = Gc.minor_words () in
-  let push_one buf len q =
-    let ring = rings.(owner q) in
-    if not (Pktring.try_push ring buf ~len ~qid:q) then begin
-      end_chunk ();
-      let idle = ref 0 in
-      let park = ref park_min_s in
-      while not (Pktring.try_push ring buf ~len ~qid:q) do
-        if !idle < spin_limit then Domain.cpu_relax ()
-        else begin
-          Unix.sleepf !park;
-          park := Float.min park_max_s (!park *. 2.0)
-        end;
-        incr idle
-      done;
-      chunk_t0 := Unix.gettimeofday ()
-    end;
-    incr pushed_in_chunk;
-    if !pushed_in_chunk >= 256 then end_chunk ()
-  in
-  (match pre with
-  | Some (bufs, lens, qs) ->
-      for k = 0 to pkts - 1 do
-        push_one bufs.(k) lens.(k) qs.(k)
-      done
-  | None ->
-      let cache = Mq.make_steer_cache () in
-      for _ = 1 to pkts do
-        let pkt = Packet.Workload.next workload in
-        push_one pkt.Packet.Pkt.buf pkt.Packet.Pkt.len
-          (Mq.steer_cached mq cache pkt)
-      done);
-  Array.iter Pktring.flush rings;
-  end_chunk ();
-  let p_minor_words = Gc.minor_words () -. p_mw0 in
-  Atomic.set stop true;
-  let reports = Array.map Domain.join doms in
-  let wall_s = Unix.gettimeofday () -. t0 in
-  let producer_busy_s =
-    robust_busy ~chunk_s:p_chunk_s ~chunk_n:p_chunk_n ~nchunks:!p_nchunks
-      ~extra_s:0.0
-  in
-  let busy_s = Array.map (fun r -> r.rp_busy_s) reports in
-  let eff_wall_s =
-    Array.fold_left (fun a b -> Float.max a b) producer_busy_s busy_s
-  in
-  let total_pkts = Array.fold_left (fun a r -> a + r.rp_pkts) 0 reports in
-  let minor_words =
-    Array.fold_left (fun a r -> a +. r.rp_minor_words) p_minor_words reports
-  in
-  let stranded = Array.fold_left (fun a r -> a + Pktring.length r) 0 rings in
-  let domain_stats = Array.map (fun r -> r.rp_stats) reports in
-  {
-    pkts = total_pkts;
-    per_queue;
-    stats = Stats.merge ~name:"parallel" (Array.to_list domain_stats);
-    domain_stats;
-    domain_cycles = Array.map (fun r -> r.rp_cycles) reports;
-    wall_s;
-    busy_s;
-    producer_busy_s;
-    eff_wall_s;
-    minor_words_per_pkt =
-      (if total_pkts = 0 then 0.0 else minor_words /. float_of_int total_pkts);
-    stranded;
-    drops = Array.fold_left (fun a d -> a + Device.drops d) 0 devices;
-    sink = Array.fold_left (fun a r -> Int64.add a r.rp_sink) 0L reports;
-    delivered = Option.map (Array.map List.rev) delivered;
-    faults = Option.map (Array.map Fault.counters) fqs;
-  }
+  fst
+    (engine ~who:"Parallel.run" ~name:"parallel" ~domains ~batch
+       ~ring_capacity ~collect ~account ~plan ~mq ~stack ~pkts ~swap:None
+       (fun p ->
+         match pre with
+         | Some (bufs, lens, qs) ->
+             for k = 0 to pkts - 1 do
+               p.push bufs.(k) lens.(k) qs.(k)
+             done;
+             p.flush ()
+         | None ->
+             push_stream p ~mq ~cache:(Mq.make_steer_cache ()) ~workload pkts))
 
 (* The live-upgrade engine: {!run}'s machinery with one epoch boundary.
    The producer offers [at] packets under the old contract, raises the
@@ -767,21 +970,7 @@ let run ?(domains = 1) ?(batch = 32) ?(ring_capacity = 1024) ?(collect = false)
 let hot_swap ?(domains = 1) ?(batch = 32) ?(ring_capacity = 1024)
     ?(collect = false) ?(account = true) ?(collect_post = false) ?plan ~mq
     ~stack ~pkts ~at ~swap ~workload () =
-  if domains < 1 then invalid_arg "Parallel.hot_swap: domains must be >= 1";
-  if batch < 1 then invalid_arg "Parallel.hot_swap: batch must be >= 1";
-  let nq = Mq.queues mq in
-  let workers = min domains nq in
-  let owner q = q mod workers in
   let at = max 0 (min at pkts) in
-  let devices = Array.init nq (Mq.queue mq) in
-  Array.iter Device.reset_counters devices;
-  let fqs =
-    Option.map
-      (fun plan -> Array.init nq (fun q -> Fault.wrap ~qid:q plan devices.(q)))
-      plan
-  in
-  let per_queue = Array.make nq 0 in
-  let delivered = if collect then Some (Array.make nq []) else None in
   let ctl =
     {
       ctl_quiesce = Atomic.make false;
@@ -792,157 +981,40 @@ let hot_swap ?(domains = 1) ?(batch = 32) ?(ring_capacity = 1024)
       ctl_pre_pkts = Atomic.make 0;
       ctl_torn = Atomic.make 0;
       ctl_upgrade_errors = Atomic.make 0;
-      ctl_post_pairs = (if collect_post then Some (Array.make nq []) else None);
+      ctl_post_pairs =
+        (if collect_post then Some (Array.make (Mq.queues mq) []) else None);
     }
   in
-  let slot_size =
-    Array.fold_left (fun a d -> max a (Device.buf_size d)) 64 devices
-  in
-  let rings =
-    Array.init workers (fun _ ->
-        Pktring.create ~capacity:ring_capacity ~slot_size)
-  in
-  let stop = Atomic.make false in
-  let t0 = Unix.gettimeofday () in
-  let doms =
-    Array.init workers (fun w ->
-        let queue_ids =
-          Array.of_list
-            (List.filter (fun q -> owner q = w) (List.init nq Fun.id))
-        in
-        let wdevices = Array.map (fun q -> devices.(q)) queue_ids in
-        let local = Array.make nq (-1) in
-        Array.iteri (fun i q -> local.(q) <- i) queue_ids;
-        let wfaults =
-          Option.map (fun fqs -> Array.map (fun q -> fqs.(q)) queue_ids) fqs
-        in
-        Domain.spawn
-          (worker ~w ~queue_ids ~devices:wdevices ~local ~ring:rings.(w) ~stop
-             ~batch ~stack ~account ~pkts_hint:pkts ~per_queue ~delivered
-             ~faults:wfaults ~swap:(Some ctl)))
-  in
-  let p_cap = pkts + 4 in
-  let p_chunk_s = Array.make p_cap 0.0 in
-  let p_chunk_n = Array.make p_cap 0 in
-  let p_nchunks = ref 0 in
-  let p_record s n =
-    if n > 0 && !p_nchunks < p_cap then begin
-      p_chunk_s.(!p_nchunks) <- s;
-      p_chunk_n.(!p_nchunks) <- n;
-      incr p_nchunks
-    end
-  in
-  let pushed_in_chunk = ref 0 in
-  let chunk_t0 = ref (Unix.gettimeofday ()) in
-  let end_chunk () =
-    p_record (Unix.gettimeofday () -. !chunk_t0) !pushed_in_chunk;
-    pushed_in_chunk := 0;
-    chunk_t0 := Unix.gettimeofday ()
-  in
-  let p_mw0 = Gc.minor_words () in
-  let push_one buf len q =
-    let ring = rings.(owner q) in
-    if not (Pktring.try_push ring buf ~len ~qid:q) then begin
-      end_chunk ();
-      let idle = ref 0 in
-      let park = ref park_min_s in
-      while not (Pktring.try_push ring buf ~len ~qid:q) do
-        if !idle < spin_limit then Domain.cpu_relax ()
-        else begin
-          Unix.sleepf !park;
-          park := Float.min park_max_s (!park *. 2.0)
-        end;
-        incr idle
-      done;
-      chunk_t0 := Unix.gettimeofday ()
-    end;
-    incr pushed_in_chunk;
-    if !pushed_in_chunk >= 256 then end_chunk ()
-  in
-  let cache = Mq.make_steer_cache () in
-  let push_range n =
-    for _ = 1 to n do
-      let pkt = Packet.Workload.next workload in
-      push_one pkt.Packet.Pkt.buf pkt.Packet.Pkt.len
-        (Mq.steer_cached mq cache pkt)
-    done;
-    Array.iter Pktring.flush rings;
-    end_chunk ()
-  in
-  let await_counter cell target =
-    let idle = ref 0 and park = ref park_min_s in
-    while Atomic.get cell < target do
-      if !idle < spin_limit then Domain.cpu_relax ()
-      else begin
-        Unix.sleepf !park;
-        park := Float.min park_max_s (!park *. 2.0)
-      end;
-      incr idle
-    done
-  in
-  (* Epoch 0: the pre-swap stream. *)
-  push_range at;
-  let t_swap = Unix.gettimeofday () in
-  Atomic.set ctl.ctl_quiesce true;
-  (* The verdict computes here — on the producer domain, concurrently
-     with the workers draining to their quiescent points. *)
-  let cmd = swap () in
-  await_counter ctl.ctl_quiesced workers;
-  Atomic.set ctl.ctl_cmd (Some cmd);
-  await_counter ctl.ctl_acks workers;
-  let latency_s = Unix.gettimeofday () -. t_swap in
-  (* Epoch 1 (or the rest of the refused stream). The producer pause
-     ends the instant injection restarts; quarantine never resumes, so
-     its pause ends at the verdict. *)
-  let withheld, pause_s =
-    match cmd with
-    | Swap_quarantine -> (pkts - at, Unix.gettimeofday () -. t_swap)
-    | Swap_apply _ | Swap_refuse ->
-        let pause_s = Unix.gettimeofday () -. t_swap in
-        push_range (pkts - at);
-        (0, pause_s)
-  in
-  let p_minor_words = Gc.minor_words () -. p_mw0 in
-  Atomic.set stop true;
-  let reports = Array.map Domain.join doms in
-  let wall_s = Unix.gettimeofday () -. t0 in
-  let producer_busy_s =
-    robust_busy ~chunk_s:p_chunk_s ~chunk_n:p_chunk_n ~nchunks:!p_nchunks
-      ~extra_s:0.0
-  in
-  let busy_s = Array.map (fun r -> r.rp_busy_s) reports in
-  let eff_wall_s =
-    Array.fold_left (fun a b -> Float.max a b) producer_busy_s busy_s
-  in
-  let total_pkts = Array.fold_left (fun a r -> a + r.rp_pkts) 0 reports in
-  let minor_words =
-    Array.fold_left (fun a r -> a +. r.rp_minor_words) p_minor_words reports
-  in
-  let stranded = Array.fold_left (fun a r -> a + Pktring.length r) 0 rings in
-  let domain_stats = Array.map (fun r -> r.rp_stats) reports in
-  let result =
-    {
-      pkts = total_pkts;
-      per_queue;
-      stats = Stats.merge ~name:"hot_swap" (Array.to_list domain_stats);
-      domain_stats;
-      domain_cycles = Array.map (fun r -> r.rp_cycles) reports;
-      wall_s;
-      busy_s;
-      producer_busy_s;
-      eff_wall_s;
-      minor_words_per_pkt =
-        (if total_pkts = 0 then 0.0
-         else minor_words /. float_of_int total_pkts);
-      stranded;
-      drops = Array.fold_left (fun a d -> a + Device.drops d) 0 devices;
-      sink = Array.fold_left (fun a r -> Int64.add a r.rp_sink) 0L reports;
-      delivered = Option.map (Array.map List.rev) delivered;
-      faults = Option.map (Array.map Fault.counters) fqs;
-    }
+  let result, (cmd, latency_s, pause_s, withheld) =
+    engine ~who:"Parallel.hot_swap" ~name:"hot_swap" ~domains ~batch
+      ~ring_capacity ~collect ~account ~plan ~mq ~stack ~pkts ~swap:(Some ctl)
+      (fun p ->
+        let cache = Mq.make_steer_cache () in
+        (* Epoch 0: the pre-swap stream. *)
+        push_stream p ~mq ~cache ~workload at;
+        let t_swap = Unix.gettimeofday () in
+        Atomic.set ctl.ctl_quiesce true;
+        (* The verdict computes here — on the producer domain,
+           concurrently with the workers draining to their quiescent
+           points. *)
+        let cmd = swap () in
+        p.all_workers ctl.ctl_quiesced;
+        Atomic.set ctl.ctl_cmd (Some cmd);
+        p.all_workers ctl.ctl_acks;
+        let latency_s = Unix.gettimeofday () -. t_swap in
+        (* Epoch 1 (or the rest of the refused stream). The producer
+           pause ends the instant injection restarts; quarantine never
+           resumes, so its pause ends at the verdict. *)
+        match cmd with
+        | Swap_quarantine ->
+            (cmd, latency_s, Unix.gettimeofday () -. t_swap, pkts - at)
+        | Swap_apply _ | Swap_refuse ->
+            let pause_s = Unix.gettimeofday () -. t_swap in
+            push_stream p ~mq ~cache ~workload (pkts - at);
+            (cmd, latency_s, pause_s, 0))
   in
   let pre = Atomic.get ctl.ctl_pre_pkts in
-  let outcome =
+  ( result,
     {
       sw_action =
         (match cmd with
@@ -952,13 +1024,11 @@ let hot_swap ?(domains = 1) ?(batch = 32) ?(ring_capacity = 1024)
       sw_at = at;
       sw_inflight = Atomic.get ctl.ctl_inflight;
       sw_pre_pkts = pre;
-      sw_post_pkts = total_pkts - pre;
+      sw_post_pkts = result.pkts - pre;
       sw_withheld = withheld;
       sw_torn = Atomic.get ctl.ctl_torn;
       sw_upgrade_errors = Atomic.get ctl.ctl_upgrade_errors;
       sw_latency_s = latency_s;
       sw_pause_s = pause_s;
       sw_post_pairs = Option.map (Array.map List.rev) ctl.ctl_post_pairs;
-    }
-  in
-  (result, outcome)
+    } )

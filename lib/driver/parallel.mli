@@ -10,7 +10,14 @@
     over a bounded SPSC byte ring with preallocated slots, cached
     opposite indices and batched index publication ({!Pktring}) — the
     handoff allocates nothing per packet. Per-domain stats shards merge
-    via {!Stats.merge}. *)
+    via {!Stats.merge}.
+
+    Worker domains are persistent: the first run that needs [n] workers
+    spawns them, and every later run hands them its jobs instead of
+    spawning and joining domains. Between runs a worker blocks on a
+    condition variable (it does not spin) and keeps its handoff ring and
+    burst buffers for reuse. Runs are serialised: concurrent calls from
+    several domains take turns. *)
 
 module Spsc : sig
   (** Lamport single-producer/single-consumer bounded ring. Exactly one
@@ -100,7 +107,7 @@ type result = {
   stats : Stats.t;  (** merged view of all domain shards *)
   domain_stats : Stats.t array;  (** one shard per worker domain *)
   domain_cycles : float array;  (** modelled cycle total per worker *)
-  wall_s : float;  (** wall-clock seconds, spawn to join *)
+  wall_s : float;  (** wall-clock seconds, job dispatch to completion *)
   busy_s : float array;
       (** preemption-robust busy seconds per worker domain: the
           packet-weighted median per-packet chunk cost times packets
@@ -112,7 +119,7 @@ type result = {
       (** the busy-time critical path: [max producer_busy_s (max
           busy_s)] — what the wall clock would show with one core per
           domain. The honest basis for parallel-speedup claims on
-          machines with fewer cores than domains, where spawn-to-join
+          machines with fewer cores than domains, where dispatch-to-completion
           [wall_s] cannot improve no matter how good the code is. *)
   minor_words_per_pkt : float;
       (** minor-heap words allocated per delivered packet across the
@@ -149,9 +156,12 @@ val run :
 (** Run [pkts] packets of [workload] through [mq] with
     [min domains (Mq.queues mq)] worker domains; queue [q] is owned by
     worker [q mod workers]. [stack q] builds the (domain-local) consumer
-    for queue [q]. Workers pop/inject in runs of up to a full [batch]
-    per owned queue, then harvest (so amortised per-burst charges match
-    the sequential batched path) and drain completely on shutdown: the
+    for queue [q]. Workers pop/inject in runs of exactly [batch] x owned
+    queues packets, then harvest (so amortised per-burst charges match
+    the sequential batched path). A run ends early only at the end of
+    the stream or at a quiesce request, never because the producer was
+    momentarily slower, so bursts and [domain_cycles] depend only on the
+    packet sequence. Workers drain completely on shutdown: the
     injector raises the stop flag only after pushing and flushing
     everything, and workers exit only when stopped {e and} their ring
     re-reads empty, then sweep their queues dry — so [stranded = 0] and
@@ -171,8 +181,10 @@ val run :
 
     Idle behaviour is adaptive per domain: spin ([Domain.cpu_relax], up
     to 128 tries), then park in exponentially growing naps (2µs
-    doubling to 256µs); any progress resets the ladder. The per-worker
-    spin/park/wake counts are in each shard's {!Stats.t} idle counters.
+    doubling to 256µs); any progress resets the ladder. Waiting for the
+    producer inside a run climbs the same ladder and is excluded from
+    [busy_s]. The per-worker spin/park/wake counts are in each shard's
+    {!Stats.t} idle counters.
 
     With [?plan], every queue is wrapped in a {!Fault.t} (seeded by
     queue id): workers inject through {!Fault.rx_inject} (handing it a
@@ -186,6 +198,11 @@ val run :
     Defaults: [domains = 1], [batch = 32], [ring_capacity = 1024],
     [collect = false], [account = true], [pregen = false], no fault
     plan. Device counters are reset on entry.
+
+    An exception raised on a worker (by a consumer, say) stops the run:
+    the producer and the other workers abandon their waits, and the
+    exception re-raises here once every worker has finished. The workers
+    then serve the next run normally.
 
     @raise Invalid_argument on [domains < 1] or [batch < 1]. *)
 
@@ -275,6 +292,7 @@ val hot_swap :
     [Swap_quarantine], withhold it). Counters reconcile exactly across
     the transition: [sw_pre_pkts + sw_post_pkts = pkts - drops -
     quarantined - withheld] for a fault-free plan, and with faults the
-    per-queue {!Fault.counters} invariants hold as in {!run}.
+    per-queue {!Fault.counters} invariants hold as in {!run}. An
+    exception from [swap] or from a worker re-raises as in {!run}.
 
     @raise Invalid_argument on [domains < 1] or [batch < 1]. *)

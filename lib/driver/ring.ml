@@ -62,6 +62,13 @@ let consume_host_into t dst =
     true
   end
 
+let release t =
+  if is_empty t then false
+  else begin
+    t.cons <- t.cons + 1;
+    true
+  end
+
 let produce_host_batch t payloads =
   List.fold_left (fun n p -> if produce_host t p then n + 1 else n) 0 payloads
 

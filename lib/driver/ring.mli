@@ -65,6 +65,12 @@ val consume_host_into : t -> bytes -> bool
     (a short scratch buffer would otherwise read as a silently truncated
     descriptor — indistinguishable from a torn DMA write). *)
 
+val release : t -> bool
+(** Host consumes the next slot in place, without copying it: the caller
+    has read what it needs straight from [dma t]'s memory at
+    [slot_offset t (cons_index t)]. False when empty. The length-only
+    harvest primitive. *)
+
 val produce_host_batch : t -> bytes list -> int
 (** Host writes consecutive slots; stops at the first full slot. Returns
     the number written. *)

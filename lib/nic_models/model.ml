@@ -1,10 +1,10 @@
 type t = {
   spec : Opendesc.Nic_spec.t;
   resolve :
+    Opendesc.Path.lfield ->
     Softnic.Feature.env ->
     Packet.Pkt.t ->
     Packet.Pkt.view ->
-    Opendesc.Path.lfield ->
     int64;
 }
 
@@ -53,14 +53,15 @@ let hardware_registry () =
 let default_constants =
   [ ("status", 1L); ("op_own", 1L); ("owner", 1L); ("dd", 1L); ("generation", 1L) ]
 
-let resolve_with registry constants env pkt view (f : Opendesc.Path.lfield) =
+let constant v _ _ _ = v
+
+let resolve_with registry constants (f : Opendesc.Path.lfield) =
   match f.l_semantic with
   | Some s -> (
       match Softnic.Registry.find registry s with
-      | Some feature -> feature.compute env pkt view
-      | None -> 0L)
-  | None -> (
-      match List.assoc_opt f.l_name constants with Some v -> v | None -> 0L)
+      | Some feature -> feature.compute
+      | None -> constant 0L)
+  | None -> constant (Option.value ~default:0L (List.assoc_opt f.l_name constants))
 
 let make ?(constants = default_constants) ?registry spec =
   let registry = match registry with Some r -> r | None -> hardware_registry () in

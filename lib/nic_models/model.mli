@@ -10,15 +10,20 @@
     cycles for them.
 
     Models also resolve hardware-only semantics (wire timestamps,
-    accelerator results) that no software shim can provide. *)
+    accelerator results) that no software shim can provide.
+
+    Resolution is staged: [resolve field] does every per-field lookup
+    (registry, constant table) once and returns the per-packet function,
+    so a device builds its completion writer for the active path once
+    and pays only the semantic computations per packet. *)
 
 type t = {
   spec : Opendesc.Nic_spec.t;
   resolve :
+    Opendesc.Path.lfield ->
     Softnic.Feature.env ->
     Packet.Pkt.t ->
     Packet.Pkt.view ->
-    Opendesc.Path.lfield ->
     int64;
 }
 
@@ -28,11 +33,12 @@ val hardware_registry : unit -> Softnic.Registry.t
     [regex_match_id]). *)
 
 val resolve_with : Softnic.Registry.t -> (string * int64) list ->
-  Softnic.Feature.env -> Packet.Pkt.t -> Packet.Pkt.view ->
-  Opendesc.Path.lfield -> int64
+  Opendesc.Path.lfield ->
+  Softnic.Feature.env -> Packet.Pkt.t -> Packet.Pkt.view -> int64
 (** Standard resolution: a field with a semantic is computed by the
     registry implementation; otherwise the field name is looked up in the
-    constant table (status/ownership bits); otherwise 0. *)
+    constant table (status/ownership bits); otherwise 0. Both lookups
+    happen when the field is applied, before any packet. *)
 
 val make :
   ?constants:(string * int64) list ->

@@ -3,10 +3,22 @@
     Implements the Microsoft RSS specification: the hash of an input byte
     string under a 40-byte key, where input bit [i] being set XORs in the
     32-bit key window starting at bit [i]. Verified against the published
-    test vectors (see the softnic test suite). *)
+    test vectors (see the softnic test suite).
 
-type key = bytes
-(** 40-byte secret key. *)
+    The hash is table-driven: a key is built once into 256-entry lookup
+    tables per input byte position, so hashing costs one table XOR per
+    input byte. *)
+
+type key
+(** A secret key (40 bytes for the standard inputs) together with its
+    lookup tables. Immutable; safe to share across domains. *)
+
+val key_of_bytes : bytes -> key
+(** Build a key and its tables from raw key bytes (copied). A key of [K]
+    bytes hashes inputs of at most [K - 4] bytes. *)
+
+val key_bytes : key -> bytes
+(** A fresh copy of the raw key bytes. *)
 
 val default_key : key
 (** The widely-deployed "Microsoft standard" verification key. *)
@@ -16,7 +28,9 @@ val symmetric_key : key
     src/dst — what RSS++-style load balancers deploy. *)
 
 val hash : ?key:key -> bytes -> int32
-(** [hash input] over arbitrary input bytes. Default key: {!default_key}. *)
+(** [hash input] over arbitrary input bytes. Default key: {!default_key}.
+    @raise Invalid_argument when the key is shorter than the input plus
+    4 bytes (every function here checks its input length the same way). *)
 
 val hash_ipv4_2tuple : ?key:key -> int32 -> int32 -> int32
 (** [hash_ipv4_2tuple src dst] is the RSS "IPv4" (address-only) input. *)

@@ -341,9 +341,11 @@ let test_validation_catches_lying_device () =
     {
       honest with
       Nic_models.Model.resolve =
-        (fun env pkt view f ->
-          let v = honest.resolve env pkt view f in
-          if f.l_semantic = Some "rss" then Int64.logxor v 0xDEADL else v);
+        (fun f ->
+          let honest_f = honest.resolve f in
+          if f.l_semantic = Some "rss" then fun env pkt view ->
+            Int64.logxor (honest_f env pkt view) 0xDEADL
+          else honest_f);
     }
   in
   let intent = Intent.make [ ("rss", 32); ("pkt_len", 32) ] in

@@ -199,7 +199,7 @@ let resolve_semantic (m : Model.t) sem pkt =
     { l_name = "x"; l_header = "h"; l_semantic = Some sem; l_bit_off = 0; l_bits = 32;
       l_span = P4.Loc.dummy }
   in
-  m.resolve env pkt view field
+  m.resolve field env pkt view
 
 let test_resolver_semantics_match_softnic () =
   let m = Mlx5.model () in
@@ -221,8 +221,8 @@ let test_resolver_constants_for_status_fields () =
     { l_name = name; l_header = "h"; l_semantic = None; l_bit_off = 0; l_bits = 8;
       l_span = P4.Loc.dummy }
   in
-  check ai64 "status bit set" 1L (m.resolve env pkt view (field "status"));
-  check ai64 "unknown plain field is 0" 0L (m.resolve env pkt view (field "errors"))
+  check ai64 "status bit set" 1L (m.resolve (field "status") env pkt view);
+  check ai64 "unknown plain field is 0" 0L (m.resolve (field "errors") env pkt view)
 
 let test_hardware_only_semantics_resolve () =
   let m = Bluefield.model () in

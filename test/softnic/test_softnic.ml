@@ -77,6 +77,75 @@ let prop_toeplitz_flow_stable =
       let f = flow4 ~src ~dst ~sp ~dp 6 in
       Int32.equal (Toeplitz.hash_flow f) (Toeplitz.hash_flow f))
 
+(* The table-driven hash against the bit-serial oracle: the default key,
+   the symmetric key and random 40-byte keys, over every input length a
+   40-byte key admits (1-36: the IPv4 2- and 4-tuple inputs are 8 and 12
+   bytes, the IPv6 4-tuple input 36). *)
+let named_keys = [ Toeplitz.default_key; Toeplitz.symmetric_key ]
+
+let gen_key_input =
+  QCheck.Gen.(
+    let* key =
+      frequency
+        [
+          (1, oneofl (List.map Toeplitz.key_bytes named_keys));
+          (2, map Bytes.of_string (string_size ~gen:char (return 40)));
+        ]
+    in
+    let* len = frequency [ (1, oneofl [ 8; 12; 36 ]); (3, int_range 1 36) ] in
+    let* input = string_size ~gen:char (return len) in
+    return (key, Bytes.of_string input))
+
+let arb_key_input =
+  QCheck.make
+    ~print:(fun (k, i) ->
+      Printf.sprintf "key=%S input=%S" (Bytes.to_string k) (Bytes.to_string i))
+    gen_key_input
+
+let prop_toeplitz_table_matches_oracle =
+  QCheck.Test.make ~name:"table toeplitz = bit-serial oracle" ~count:1000
+    arb_key_input (fun (kb, input) ->
+      Int32.equal
+        (Toeplitz.hash ~key:(Toeplitz.key_of_bytes kb) input)
+        (Toeplitz_oracle.hash kb input))
+
+(* The structured entry points feed the same bytes the oracle sees. *)
+let prop_toeplitz_inputs_match_oracle =
+  QCheck.Test.make ~name:"toeplitz tuple inputs = oracle" ~count:300
+    QCheck.(
+      pair
+        (quad int32 int32 (int_bound 65535) (int_bound 65535))
+        (pair (string_of_size (Gen.return 32)) bool))
+    (fun ((src, dst, sp, dp), (v6, symmetric)) ->
+      let key = if symmetric then Toeplitz.symmetric_key else Toeplitz.default_key in
+      let kb = Toeplitz.key_bytes key in
+      let b4 = Bytes.create 12 in
+      Bytes.set_int32_be b4 0 src;
+      Bytes.set_int32_be b4 4 dst;
+      Bytes.set_uint16_be b4 8 sp;
+      Bytes.set_uint16_be b4 10 dp;
+      let b6 = Bytes.create 36 in
+      Bytes.blit_string v6 0 b6 0 32;
+      Bytes.set_uint16_be b6 32 sp;
+      Bytes.set_uint16_be b6 34 dp;
+      let v6 = Bytes.of_string v6 in
+      Int32.equal (Toeplitz.hash_flow ~key (flow4 ~src ~dst ~sp ~dp 6))
+        (Toeplitz_oracle.hash kb b4)
+      && Int32.equal (Toeplitz.hash_ipv4_2tuple ~key src dst)
+           (Toeplitz_oracle.hash kb (Bytes.sub b4 0 8))
+      && Int32.equal
+           (Toeplitz.hash_ipv6_flow ~key ~src:(Bytes.sub v6 0 16)
+              ~dst:(Bytes.sub v6 16 16) ~src_port:sp ~dst_port:dp ())
+           (Toeplitz_oracle.hash kb b6))
+
+let test_toeplitz_key_length_checked () =
+  let short = Toeplitz.key_of_bytes (Bytes.make 12 'k') in
+  check ai32 "8-byte input fits a 12-byte key" (Toeplitz_oracle.hash (Bytes.make 12 'k') (Bytes.make 8 'x'))
+    (Toeplitz.hash ~key:short (Bytes.make 8 'x'));
+  Alcotest.check_raises "9-byte input needs 13 key bytes"
+    (Invalid_argument "Toeplitz: 9-byte input needs a key of at least 13 bytes (got 12)")
+    (fun () -> ignore (Toeplitz.hash ~key:short (Bytes.make 9 'x')))
+
 (* ------------------------------------------------------------------ *)
 (* CRC-32 *)
 
@@ -321,8 +390,14 @@ let () =
           Alcotest.test_case "pkt == flow" `Quick test_toeplitz_pkt_consistency;
           Alcotest.test_case "ipv6 MS vector" `Quick test_toeplitz_ipv6;
           Alcotest.test_case "non-ip is 0" `Quick test_toeplitz_nonip_is_zero;
+          Alcotest.test_case "key length checked" `Quick test_toeplitz_key_length_checked;
         ]
-        @ qsuite [ prop_toeplitz_flow_stable ] );
+        @ qsuite
+            [
+              prop_toeplitz_flow_stable;
+              prop_toeplitz_table_matches_oracle;
+              prop_toeplitz_inputs_match_oracle;
+            ] );
       ( "crc32",
         [
           Alcotest.test_case "check vector" `Quick test_crc32_check_vector;
