@@ -53,7 +53,7 @@ let f2 () =
   let device = Driver.Device.create_exn ~config:compiled.config model in
   (* Control channel (implicit): queue context programmed via MMIO. *)
   Printf.printf "control channel : programmed context %s\n"
-    (Format.asprintf "%a" Opendesc.Context.pp compiled.config);
+    (Format.asprintf "%a" Opendesc_analysis.Context.pp compiled.config);
   (* TX: host posts descriptors (1), device reads packets (2). *)
   let fmt = Option.get (Driver.Device.tx_format device) in
   let pkts =
@@ -66,8 +66,8 @@ let f2 () =
   in
   Array.iteri
     (fun i _ ->
-      let desc = Bytes.make (Opendesc.Descparser.size fmt) '\x00' in
-      let addr = Option.get (Opendesc.Descparser.field_for fmt "buf_addr") in
+      let desc = Bytes.make (Opendesc_analysis.Descparser.size fmt) '\x00' in
+      let addr = Option.get (Opendesc_analysis.Descparser.field_for fmt "buf_addr") in
       Opendesc.Accessor.writer ~bit_off:addr.l_bit_off ~bits:addr.l_bits desc
         (Int64.of_int i);
       assert (Driver.Device.tx_post device desc))
@@ -78,7 +78,7 @@ let f2 () =
         if i >= 0 && i < 8 then Some pkts.(i) else None)
   in
   Printf.printf "TX desc    (1)  : 8 descriptors posted, %d bytes each\n"
-    (Opendesc.Descparser.size fmt);
+    (Opendesc_analysis.Descparser.size fmt);
   Printf.printf "TX packet  (2)  : %d packets fetched by the device DMA\n" sent;
   (* RX: device writes packets (3) and completions (4). *)
   let w = Packet.Workload.make ~seed:4L Packet.Workload.Imix in

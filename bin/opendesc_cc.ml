@@ -139,7 +139,9 @@ let paths_cmd =
         | [] -> ()
         | fs ->
             Format.printf "TX descriptor formats:@.";
-            List.iter (fun f -> Format.printf "  %a@." Opendesc.Descparser.pp f) fs);
+            List.iter
+              (fun f -> Format.printf "  %a@." Opendesc_analysis.Descparser.pp f)
+              fs);
         (match Opendesc.Nic_spec.lint spec with
         | [] -> ()
         | ws ->
@@ -733,7 +735,7 @@ let chaos_cmd =
                           | None -> ()
                           | Some fmt ->
                               let addr =
-                                Opendesc.Descparser.field_for fmt "buf_addr"
+                                Opendesc_analysis.Descparser.field_for fmt "buf_addr"
                               in
                               let body =
                                 Packet.Builder.raw ~len:64 ~fill:'t'
@@ -745,7 +747,7 @@ let chaos_cmd =
                                   List.init n (fun i ->
                                       let d =
                                         Bytes.make
-                                          (Opendesc.Descparser.size fmt)
+                                          (Opendesc_analysis.Descparser.size fmt)
                                           '\x00'
                                       in
                                       (match addr with

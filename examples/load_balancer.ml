@@ -86,8 +86,8 @@ let () =
             bytes_to.(backend) + Int64.to_int (read "pkt_len" buf len cmpt);
           (* Forward: build a TX descriptor in the negotiated format with
              the backend's VLAN. *)
-          let desc = Bytes.make (Opendesc.Descparser.size fmt) '\x00' in
-          let addr = Option.get (Opendesc.Descparser.field_for fmt "buf_addr") in
+          let desc = Bytes.make (Opendesc_analysis.Descparser.size fmt) '\x00' in
+          let addr = Option.get (Opendesc_analysis.Descparser.field_for fmt "buf_addr") in
           Opendesc.Accessor.writer ~bit_off:addr.l_bit_off ~bits:addr.l_bits desc
             !tx_key;
           (match vlan_writer with

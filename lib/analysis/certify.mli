@@ -81,8 +81,8 @@ type plan = {
 
 (** The deparser contract a plan is validated against. *)
 type contract = {
-  cf_tenv : P4.Typecheck.t;
-  cf_deparser : P4.Typecheck.control_def;
+  cf_catalogue : Catalogue.t;
+      (** the deparser's completion catalogue, built once at load *)
   cf_registry : Registry_view.t;
   cf_line_offset : int;  (** prelude lines to subtract from spans *)
 }

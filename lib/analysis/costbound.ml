@@ -209,12 +209,11 @@ type cost = {
 
 type report = { r_cost : cost; r_paths : path_cost list; r_diags : D.t list }
 
-let path_cost_of ~table ~(registry : Registry_view.t) ~intent index
-    (fields : Engine.afield list) bits =
+let path_cost_of ~table ~(registry : Registry_view.t) ~intent
+    (g : Catalogue.group) =
+  let fields = Dep_ir.fields g.g_run in
   let carried s =
-    List.exists
-      (fun (af : Engine.afield) -> af.Engine.af_semantic = Some s)
-      fields
+    List.exists (fun (f : Layout.lfield) -> f.l_semantic = Some s) fields
   in
   let hw = List.filter (fun (s, _) -> carried s) intent |> List.map fst in
   let missing =
@@ -229,9 +228,9 @@ let path_cost_of ~table ~(registry : Registry_view.t) ~intent index
         else None)
       missing
   in
-  let size = (bits + 7) / 8 in
+  let size = (g.g_run.r_total_bits + 7) / 8 in
   {
-    pc_index = index;
+    pc_index = g.g_index;
     pc_size_bytes = size;
     pc_lines = lines_of_bytes size;
     pc_hw = hw;
@@ -242,65 +241,11 @@ let path_cost_of ~table ~(registry : Registry_view.t) ~intent index
         ~shims:(List.map snd priced) ();
   }
 
-(* The same feasibility-pruned catalogue Certify builds: every distinct
-   completion layout some context assignment can emit, minus the runs
-   the symbolic walk proves unreachable. *)
-let catalogue_of (cf : Certify.contract) =
-  match Dep_ir.of_control cf.Certify.cf_tenv cf.Certify.cf_deparser with
-  | Error msg -> Error msg
-  | Ok ir ->
-      let ctx = Ctxdom.find_in cf.Certify.cf_deparser.P4.Typecheck.ct_params in
-      let ctx_name =
-        match ctx with Some (p, _) -> p.P4.Typecheck.c_name | None -> "ctx"
-      in
-      let consts = P4.Typecheck.const_env cf.Certify.cf_tenv in
-      let assignments =
-        match ctx with
-        | None -> [ [] ]
-        | Some (_, h) -> (
-            match Ctxdom.enumerate h with Ok a -> a | Error _ -> [ [] ])
-      in
-      let sym =
-        Symexec.exec
-          ~base:
-            (Symexec.base_env ~consts ~ctx
-               ~params:cf.Certify.cf_deparser.P4.Typecheck.ct_params ())
-          ir
-      in
-      let key (r : Dep_ir.run) =
-        List.map
-          (fun (x : Dep_ir.exec_emit) -> x.Dep_ir.x_emit.Dep_ir.e_id)
-          r.Dep_ir.r_emits
-      in
-      let feasible r =
-        let ids = key r in
-        List.exists
-          (fun (l : Symexec.leaf) ->
-            l.Symexec.lf_feasible && l.Symexec.lf_emit_ids = ids)
-          sym.Symexec.sx_leaves
-      in
-      let groups = ref [] in
-      List.iter
-        (fun a ->
-          List.iter
-            (fun r ->
-              if
-                feasible r
-                && not (List.exists (fun (k, _, _) -> k = key r) !groups)
-              then
-                groups :=
-                  !groups
-                  @ [ (key r, Engine.fields_of_run r, r.Dep_ir.r_total_bits) ])
-            (Dep_ir.run ~consts ~ctx_env:(Ctxdom.env_of ~param_name:ctx_name a)
-               ir))
-        assignments;
-      Ok !groups
-
 let analyze ?(table = default_table) ?budget ?baseline
     (cf : Certify.contract) (plan : Certify.plan) : report =
   let diags = ref [] in
   let add d = diags := d :: !diags in
-  let span = cf.Certify.cf_deparser.P4.Typecheck.ct_span in
+  let span = cf.Certify.cf_catalogue.ca_ctrl.ct_span in
   let shim_cycles =
     List.fold_left
       (fun a (s : Certify.shim_plan) -> a +. s.Certify.sh_cost)
@@ -347,19 +292,10 @@ let analyze ?(table = default_table) ?budget ?baseline
            (bound /. (if old > 0.0 then old else 1.0)))
   | _ -> ());
   let paths =
-    match catalogue_of cf with
-    | Error msg ->
-        add
-          (D.make ~code:"OD028" ~severity:D.Error
-             "cannot bound %s: deparser IR unavailable (%s)"
-             plan.Certify.pl_nic msg);
-        []
-    | Ok groups ->
-        List.mapi
-          (fun i (_, fields, bits) ->
-            path_cost_of ~table ~registry:cf.Certify.cf_registry
-              ~intent:plan.Certify.pl_intent i fields bits)
-          groups
+    List.map
+      (path_cost_of ~table ~registry:cf.Certify.cf_registry
+         ~intent:plan.Certify.pl_intent)
+      cf.Certify.cf_catalogue.ca_feasible
   in
   List.iter
     (fun pc ->

@@ -3,9 +3,11 @@
    encounter order the compiler's CFG uses, so diagnostics and path
    indices line up with `opendesc_cc paths`/`cfg` output.
 
-   Unlike Path.enumerate — which refuses undecidable branches — the
-   interpreter here forks on them, so the analysis still produces runs
-   (marked inexact) for descriptions the compiler would reject. *)
+   This is the one model of the deparser every tool reads: the CFG, the
+   concrete runs behind path enumeration, the symbolic walk and the
+   lint passes. The interpreter forks on undecidable branches, so the
+   analysis still produces runs (marked inexact) for descriptions the
+   compiler would reject; Path.enumerate refuses those runs. *)
 
 type emit = {
   e_id : int;  (** site number, pre-order *)
@@ -36,6 +38,30 @@ let out_param (c : P4.Typecheck.control_def) =
       | P4.Typecheck.RExtern "cmpt_out" -> Some p.c_name
       | _ -> None)
     c.ct_params
+
+let no_deparser = "no completion deparser found (no control takes a cmpt_out)"
+
+let locate_deparser ?requested tenv =
+  let has_cmpt_out c = out_param c <> None in
+  match requested with
+  | Some name -> (
+      match P4.Typecheck.find_control tenv name with
+      | Some c when has_cmpt_out c -> Ok (Some c)
+      | Some _ -> Error (Printf.sprintf "control %s has no cmpt_out parameter" name)
+      | None -> Error (Printf.sprintf "no control named %s" name))
+  | None -> (
+      let annotated (c : P4.Typecheck.control_def) =
+        P4.Ast.find_annotation "cmpt_deparser" c.ct_annots <> None
+      in
+      let candidates = List.filter has_cmpt_out (P4.Typecheck.controls tenv) in
+      match List.filter annotated candidates with
+      | [ c ] -> Ok (Some c)
+      | _ :: _ :: _ -> Error "multiple @cmpt_deparser controls"
+      | [] -> (
+          match candidates with
+          | [ c ] -> Ok (Some c)
+          | [] -> Ok None
+          | _ -> Error "multiple deparser candidates; tag one with @cmpt_deparser"))
 
 let emit_target out_name (e : P4.Ast.expr) =
   match e with
@@ -113,26 +139,60 @@ let of_control tenv (ctrl : P4.Typecheck.control_def) : (t, string) result =
       | exception Build_error msg -> Error msg
       | exception P4.Typecheck.Type_error (msg, _) -> Error msg)
 
-(* ------------------------------------------------------------------ *)
-(* Abstract/concrete interpretation under one context assignment. *)
+(* Every variable path that can influence a branch decision: the read
+   sets of all conditions, closed under local definitions. A context
+   field outside this set cannot change the emit sequence. *)
+let influencing t =
+  let defs = ref [] and conds = ref [] in
+  let rec collect nodes =
+    List.iter
+      (function
+        | NIf { i_cond; i_then; i_else; _ } ->
+            conds := P4.Eval.paths_in i_cond @ !conds;
+            collect i_then;
+            collect i_else
+        | NAssign (l, r) -> (
+            match P4.Eval.path_of_expr l with
+            | Some p -> defs := (p, P4.Eval.paths_in r) :: !defs
+            | None -> ())
+        | NDecl (n, Some e) -> defs := ([ n ], P4.Eval.paths_in e) :: !defs
+        | NEmit _ | NDecl (_, None) | NReturn | NOther -> ())
+      nodes
+  in
+  collect t.ir_nodes;
+  let seen = Hashtbl.create 8 in
+  let rec close p =
+    if not (Hashtbl.mem seen p) then begin
+      Hashtbl.add seen p ();
+      List.iter (fun (d, reads) -> if d = p then List.iter close reads) !defs
+    end
+  in
+  List.iter close !conds;
+  Hashtbl.fold (fun p () acc -> p :: acc) seen []
 
-type exec_emit = {
-  x_emit : emit;
-  x_bit_off : int;  (** absolute offset of this header in the completion *)
-  x_decided : bool;  (** false when reached under a forked (undecidable) branch *)
-}
+(* ------------------------------------------------------------------ *)
+(* Concrete interpretation under one context assignment. *)
 
 type run = {
-  r_emits : exec_emit list;
+  r_emits : emit list;
   r_total_bits : int;
-  r_exact : bool;  (** no undecidable branch was forked along this run *)
+  r_undecided : P4.Ast.expr option;
+      (** the first branch this run forked on; [None] when the context
+          decided every branch (the run is exact) *)
 }
+
+let headers r = List.map (fun em -> em.e_header) r.r_emits
+let fields r = Layout.fields (headers r)
+
+(* Two runs emit the same completion when they emit the same
+   expressions of the same headers, whichever sites they went through. *)
+let key r = List.map (fun em -> (em.e_arg, em.e_header.h_name)) r.r_emits
 
 type state = {
   locals : (string list * P4.Eval.value) list;
   bits : int;
-  emits : exec_emit list;  (* reversed *)
-  exact : bool;
+  emits : emit list;  (* reversed *)
+  undecided : P4.Ast.expr option;
   stopped : bool;
 }
 
@@ -156,21 +216,16 @@ let run ~consts ~ctx_env t : run list =
     else
       match node with
       | NEmit em ->
-          [
-            {
-              st with
-              bits = st.bits + em.e_header.h_bits;
-              emits =
-                { x_emit = em; x_bit_off = st.bits; x_decided = st.exact }
-                :: st.emits;
-            };
-          ]
+          [ { st with bits = st.bits + em.e_header.h_bits; emits = em :: st.emits } ]
       | NIf { i_cond; i_then; i_else; _ } -> (
           match P4.Eval.eval_bool (env_of st) i_cond with
           | Some true -> exec_nodes [ st ] i_then
           | Some false -> exec_nodes [ st ] i_else
           | None ->
-              let st = { st with exact = false } in
+              let st =
+                if st.undecided = None then { st with undecided = Some i_cond }
+                else st
+              in
               if allow_fork then
                 exec_nodes [ st ] i_then @ exec_nodes [ st ] i_else
               else exec_nodes [ st ] i_then)
@@ -188,9 +243,11 @@ let run ~consts ~ctx_env t : run list =
       | NReturn -> [ { st with stopped = true } ]
       | NOther -> [ st ]
   in
-  let init =
-    { locals = []; bits = 0; emits = []; exact = true; stopped = false }
-  in
+  let init = { locals = []; bits = 0; emits = []; undecided = None; stopped = false } in
   exec_nodes [ init ] t.ir_nodes
   |> List.map (fun st ->
-         { r_emits = List.rev st.emits; r_total_bits = st.bits; r_exact = st.exact })
+         {
+           r_emits = List.rev st.emits;
+           r_total_bits = st.bits;
+           r_undecided = st.undecided;
+         })

@@ -2,24 +2,12 @@ module D = Diagnostic
 
 type input = {
   in_tenv : P4.Typecheck.t;
-  in_deparser : P4.Typecheck.control_def option;
-      (** pass the resolved deparser, or [None] to locate it *)
+  in_catalogue : Catalogue.t option;
+      (** the loaded deparser's catalogue, or [None] to locate and build it *)
   in_desc_parser : P4.Typecheck.parser_def option;
   in_registry : Registry_view.t;
   in_intent : (string * int) list option;  (** requested (semantic, width) *)
   in_line_offset : int;  (** prelude lines to subtract from spans *)
-}
-
-(* One field of a concrete completion layout, as the codegen pass sees
-   it. Kept independent of the opendesc Path type so the bounds check is
-   unit-testable against hand-built layouts. *)
-type afield = {
-  af_name : string;
-  af_header : string;
-  af_semantic : string option;
-  af_bit_off : int;
-  af_bits : int;
-  af_span : P4.Loc.span;
 }
 
 let contains_sub hay needle =
@@ -33,153 +21,47 @@ let is_intent_header (h : P4.Typecheck.header_def) =
   || contains_sub h.h_name "intent"
 
 (* ------------------------------------------------------------------ *)
-(* Deparser preparation: IR, context assignments, distinct runs. *)
-
-type group = {
-  g_index : int;  (** encounter order — matches Path.enumerate's p_index *)
-  g_run : Dep_ir.run;
-  g_assigns : Ctxdom.assignment list;
-}
-
-type dep_prep = {
-  p_ctrl : P4.Typecheck.control_def;
-  p_ir : Dep_ir.t;
-  p_ctx : (P4.Typecheck.cparam * P4.Typecheck.header_def) option;
-  p_assignments : Ctxdom.assignment list;
-  p_runs : Dep_ir.run list;  (** every run, including forked ones *)
-  p_assign_runs : (Ctxdom.assignment * Dep_ir.run) list;
-      (** the same runs, with the configuration that produced each —
-          several runs per assignment when undecidable branches forked *)
-  p_groups : group list;  (** distinct emit sequences *)
-}
-
-let fields_of_run (r : Dep_ir.run) : afield list =
-  List.concat_map
-    (fun (x : Dep_ir.exec_emit) ->
-      let h = x.Dep_ir.x_emit.Dep_ir.e_header in
-      List.map
-        (fun (f : P4.Typecheck.field) ->
-          {
-            af_name = f.f_name;
-            af_header = h.h_name;
-            af_semantic = f.f_semantic;
-            af_bit_off = x.Dep_ir.x_bit_off + f.f_bit_off;
-            af_bits = f.f_bits;
-            af_span = f.f_span;
-          })
-        h.h_fields)
-    r.Dep_ir.r_emits
+(* Deparser preparation: the completion catalogue. *)
 
 let describe_run (r : Dep_ir.run) =
-  "["
-  ^ String.concat "; "
-      (List.map (fun (x : Dep_ir.exec_emit) -> x.Dep_ir.x_emit.Dep_ir.e_arg) r.Dep_ir.r_emits)
-  ^ "]"
+  "[" ^ String.concat "; " (List.map (fun (em : Dep_ir.emit) -> em.e_arg) r.r_emits) ^ "]"
 
-let run_semantics r =
-  List.filter_map (fun af -> af.af_semantic) (fields_of_run r)
-  |> List.sort_uniq String.compare
+let run_semantics r = Layout.semantics (Dep_ir.fields r)
 
 let last_emit_span (r : Dep_ir.run) =
-  match List.rev r.Dep_ir.r_emits with
-  | x :: _ -> Some x.Dep_ir.x_emit.Dep_ir.e_span
-  | [] -> None
+  match List.rev r.r_emits with em :: _ -> Some em.Dep_ir.e_span | [] -> None
 
-let group_runs (runs : (Ctxdom.assignment * Dep_ir.run) list) : group list =
-  let key (r : Dep_ir.run) =
-    List.map (fun (x : Dep_ir.exec_emit) -> x.Dep_ir.x_emit.Dep_ir.e_id) r.Dep_ir.r_emits
-  in
-  let groups : (int list * Dep_ir.run * Ctxdom.assignment list ref) list ref =
-    ref []
-  in
-  List.iter
-    (fun (a, r) ->
-      let k = key r in
-      match List.find_opt (fun (k', _, _) -> k' = k) !groups with
-      | Some (_, _, assigns) -> assigns := a :: !assigns
-      | None -> groups := !groups @ [ (k, r, ref [ a ]) ])
-    runs;
-  List.mapi
-    (fun i (_, r, assigns) ->
-      { g_index = i; g_run = r; g_assigns = List.rev !assigns })
-    !groups
-
-let locate_deparser tenv =
-  let has_cmpt_out c = Dep_ir.out_param c <> None in
-  let annotated (c : P4.Typecheck.control_def) =
-    P4.Ast.find_annotation "cmpt_deparser" c.ct_annots <> None
-  in
-  let candidates = List.filter has_cmpt_out (P4.Typecheck.controls tenv) in
-  match List.filter annotated candidates with
-  | [ c ] -> Ok (Some c)
-  | _ :: _ :: _ -> Error "multiple @cmpt_deparser controls"
-  | [] -> (
-      match candidates with
-      | [ c ] -> Ok (Some c)
-      | [] -> Ok None
-      | _ -> Error "multiple deparser candidates; tag one with @cmpt_deparser")
-
-let prepare add (inp : input) : dep_prep option =
+let prepare add (inp : input) : Catalogue.t option =
   let tenv = inp.in_tenv in
-  let ctrl =
-    match inp.in_deparser with
-    | Some c -> Some c
+  let cat =
+    match inp.in_catalogue with
+    | Some cat -> Some cat
     | None -> (
-        match locate_deparser tenv with
-        | Ok (Some c) -> Some c
+        match Dep_ir.locate_deparser tenv with
+        | Ok (Some ctrl) -> (
+            match Catalogue.build tenv ctrl with
+            | Ok cat -> Some cat
+            | Error msg ->
+                add (D.make ~span:ctrl.ct_span ~code:"OD002" ~severity:D.Error "%s" msg);
+                None)
         | Ok None ->
             (* An intent description has no deparser by design; anything
                else is a malformed interface. *)
             if not (List.exists is_intent_header (P4.Typecheck.headers tenv))
-            then
-              add
-                (D.make ~code:"OD002" ~severity:D.Error
-                   "no completion deparser found (no control takes a cmpt_out)");
+            then add (D.make ~code:"OD002" ~severity:D.Error "%s" Dep_ir.no_deparser);
             None
         | Error msg ->
             add (D.make ~code:"OD002" ~severity:D.Error "%s" msg);
             None)
   in
-  match ctrl with
-  | None -> None
-  | Some ctrl -> (
-      match Dep_ir.of_control tenv ctrl with
-      | Error msg ->
-          add (D.make ~span:ctrl.ct_span ~code:"OD002" ~severity:D.Error "%s" msg);
-          None
-      | Ok ir ->
-          let ctx = Ctxdom.find_in ctrl.ct_params in
-          let assignments =
-            match ctx with
-            | None -> [ [] ]
-            | Some (_, h) -> (
-                match Ctxdom.enumerate h with
-                | Ok a -> a
-                | Error msg ->
-                    add
-                      (D.make ~span:h.h_span ~code:"OD002" ~severity:D.Error
-                         "%s" msg);
-                    [ [] ])
-          in
-          let ctx_name = match ctx with Some (p, _) -> p.c_name | None -> "ctx" in
-          let consts = P4.Typecheck.const_env tenv in
-          let runs =
-            List.concat_map
-              (fun a ->
-                let ctx_env = Ctxdom.env_of ~param_name:ctx_name a in
-                List.map (fun r -> (a, r)) (Dep_ir.run ~consts ~ctx_env ir))
-              assignments
-          in
-          Some
-            {
-              p_ctrl = ctrl;
-              p_ir = ir;
-              p_ctx = ctx;
-              p_assignments = assignments;
-              p_runs = List.map snd runs;
-              p_assign_runs = runs;
-              p_groups = group_runs runs;
-            })
+  Option.iter
+    (fun (cat : Catalogue.t) ->
+      match (cat.ca_ctx_error, cat.ca_ctx) with
+      | Some msg, Some (_, h) ->
+          add (D.make ~span:h.h_span ~code:"OD002" ~severity:D.Error "%s" msg)
+      | _ -> ())
+    cat;
+  cat
 
 (* ------------------------------------------------------------------ *)
 (* Pass 1: layout safety. *)
@@ -189,21 +71,21 @@ let slot_bytes (ctrl : P4.Typecheck.control_def) =
     (P4.Ast.find_annotation "cmpt_slot" ctrl.ct_annots)
     P4.Ast.annotation_int
 
-let layout_pass add (prep : dep_prep) =
-  let slot = slot_bytes prep.p_ctrl in
+let layout_pass add (cat : Catalogue.t) =
+  let slot = slot_bytes cat.ca_ctrl in
   List.iter
-    (fun g ->
+    (fun (g : Catalogue.group) ->
       let r = g.g_run in
       let desc = describe_run r in
       let span = last_emit_span r in
-      if r.Dep_ir.r_total_bits mod 8 <> 0 then
+      if r.r_total_bits mod 8 <> 0 then
         add
           (D.make ?span ~code:"OD003" ~severity:D.Error
              "completion path %s totals %d bits, not a byte multiple; the \
               device cannot DMA it"
-             desc r.Dep_ir.r_total_bits)
+             desc r.r_total_bits)
       else begin
-        let size = r.Dep_ir.r_total_bits / 8 in
+        let size = r.r_total_bits / 8 in
         match slot with
         | Some s when size > s ->
             add
@@ -216,119 +98,88 @@ let layout_pass add (prep : dep_prep) =
       (* The same header emitted twice writes every field at two offsets. *)
       let seen_args = Hashtbl.create 4 in
       List.iter
-        (fun (x : Dep_ir.exec_emit) ->
-          let arg = x.Dep_ir.x_emit.Dep_ir.e_arg in
-          if Hashtbl.mem seen_args arg then
+        (fun (em : Dep_ir.emit) ->
+          if Hashtbl.mem seen_args em.e_arg then
             add
-              (D.make ~span:x.Dep_ir.x_emit.Dep_ir.e_span ~code:"OD005"
-                 ~severity:D.Warning
+              (D.make ~span:em.e_span ~code:"OD005" ~severity:D.Warning
                  "header %s is emitted twice on completion path %s; its \
                   fields are written twice at different offsets"
-                 arg desc)
-          else Hashtbl.add seen_args arg ())
-        r.Dep_ir.r_emits;
+                 em.e_arg desc)
+          else Hashtbl.add seen_args em.e_arg ())
+        r.r_emits;
       (* A semantic carried twice on one path: only the first copy is
          read by accessors. Duplicates caused by re-emitting the same
          header are already covered by OD005. *)
       let header_count hname =
         List.length
           (List.filter
-             (fun (x : Dep_ir.exec_emit) ->
-               x.Dep_ir.x_emit.Dep_ir.e_header.h_name = hname)
-             r.Dep_ir.r_emits)
+             (fun (em : Dep_ir.emit) -> em.e_header.h_name = hname)
+             r.r_emits)
       in
       let seen_sems : (string, string) Hashtbl.t = Hashtbl.create 8 in
       List.iter
-        (fun af ->
-          match af.af_semantic with
+        (fun (f : Layout.lfield) ->
+          match f.l_semantic with
           | None -> ()
           | Some s -> (
               match Hashtbl.find_opt seen_sems s with
               | Some prev_header
-                when prev_header = af.af_header && header_count af.af_header > 1
-                ->
+                when prev_header = f.l_header && header_count f.l_header > 1 ->
                   () (* re-emitted header; OD005 already fired *)
               | Some _ ->
                   add
-                    (D.make ~span:af.af_span ~code:"OD006" ~severity:D.Warning
+                    (D.make ~span:f.l_span ~code:"OD006" ~severity:D.Warning
                        "completion path %s carries semantic %S twice (only \
                         the first copy is read)"
                        desc s)
-              | None -> Hashtbl.add seen_sems s af.af_header))
-        (fields_of_run r))
-    prep.p_groups
+              | None -> Hashtbl.add seen_sems s f.l_header))
+        (Dep_ir.fields r))
+    cat.ca_groups
 
 (* ------------------------------------------------------------------ *)
 (* Pass 2: path feasibility and dead code. *)
 
-let rec expr_paths (e : P4.Ast.expr) acc =
-  match P4.Eval.path_of_expr e with
-  | Some p -> p :: acc
-  | None -> (
-      match e with
-      | P4.Ast.EUnop (_, a) | P4.Ast.ECast (_, a) -> expr_paths a acc
-      | P4.Ast.EBinop (_, a, b) | P4.Ast.EIndex (a, b) ->
-          expr_paths a (expr_paths b acc)
-      | P4.Ast.ETernary (a, b, c) -> expr_paths a (expr_paths b (expr_paths c acc))
-      | P4.Ast.ECall (f, _, args) ->
-          List.fold_left (fun acc a -> expr_paths a acc) (expr_paths f acc) args
-      | P4.Ast.EMember (b, _) -> expr_paths b acc
-      | _ -> acc)
-
-let feasibility_pass add tenv (prep : dep_prep) =
-  let ir = prep.p_ir in
+let feasibility_pass add tenv (cat : Catalogue.t) =
+  let ir = cat.ca_ir in
   (* OD007: emit sites reached by no run under any configuration. *)
   let reached = Hashtbl.create 8 in
   List.iter
-    (fun (r : Dep_ir.run) ->
+    (fun (_, runs) ->
       List.iter
-        (fun (x : Dep_ir.exec_emit) ->
-          Hashtbl.replace reached x.Dep_ir.x_emit.Dep_ir.e_id ())
-        r.Dep_ir.r_emits)
-    prep.p_runs;
+        (fun (cr : Catalogue.run) ->
+          List.iter
+            (fun (em : Dep_ir.emit) -> Hashtbl.replace reached em.e_id ())
+            cr.run.r_emits)
+        runs)
+    cat.ca_runs;
   List.iter
     (fun (em : Dep_ir.emit) ->
-      if not (Hashtbl.mem reached em.Dep_ir.e_id) then
+      if not (Hashtbl.mem reached em.e_id) then
         add
-          (D.make ~span:em.Dep_ir.e_span ~code:"OD007" ~severity:D.Warning
+          (D.make ~span:em.e_span ~code:"OD007" ~severity:D.Warning
              "emit of %s is dead: no context configuration reaches it"
-             em.Dep_ir.e_arg))
-    ir.Dep_ir.ir_emits;
+             em.e_arg))
+    ir.ir_emits;
   (* OD008: a branch predicate that evaluates the same way under every
      context configuration (evaluated standalone, so nesting under other
      branches does not mask infeasible predicates). Predicates reading
      locals are data-dependent and skipped. *)
   let consts = P4.Typecheck.const_env tenv in
-  let ctx_name =
-    match prep.p_ctx with Some (p, _) -> p.c_name | None -> "ctx"
-  in
-  (* Symbolic pass over the same IR: one walk covers every context
-     configuration at once, refining context-field abstractions at
-     each branch, so it also decides predicates over runtime
-     descriptor bytes (which the concrete enumeration must skip). *)
-  let sym =
-    Symexec.exec
-      ~base:
-        (Symexec.base_env ~consts ~ctx:prep.p_ctx
-           ~params:prep.p_ctrl.ct_params ())
-      ir
-  in
+  let ctx_name = Catalogue.ctx_name cat in
+  let n_assignments = List.length cat.ca_assignments in
   List.iter
     (fun ((site, cond) : int * P4.Ast.expr) ->
       let outcomes =
         List.filter_map
           (fun a ->
-            let ctx_env = Ctxdom.env_of ~param_name:ctx_name a in
+            let ctx_env = Context.env_of ~param_name:ctx_name a in
             let env path =
               match ctx_env path with Some v -> Some v | None -> consts path
             in
             P4.Eval.eval_bool env cond)
-          prep.p_assignments
+          cat.ca_assignments
       in
-      if
-        List.length outcomes = List.length prep.p_assignments
-        && outcomes <> []
-      then begin
+      if List.length outcomes = n_assignments && outcomes <> [] then begin
         (* decidable from the configuration alone: the concrete
            enumeration is exact and governs this site (OD008) *)
         match List.sort_uniq Bool.compare outcomes with
@@ -339,13 +190,14 @@ let feasibility_pass add tenv (prep : dep_prep) =
                  "branch predicate %s is always %b for every context \
                   configuration (%d checked); one side is unreachable"
                  (P4.Pretty.expr_to_string cond)
-                 b
-                 (List.length prep.p_assignments))
+                 b n_assignments)
         | _ -> ()
       end
       else
-        (* data-dependent: only the symbolic evaluator can reason here *)
-        match List.assoc_opt site sym.Symexec.sx_verdicts with
+        (* data-dependent: only the symbolic walk, which covers every
+           configuration at once and also decides predicates over
+           runtime descriptor bytes, can reason here *)
+        match List.assoc_opt site cat.ca_verdicts with
         | None | Some [] -> () (* never reached along a feasible prefix *)
         | Some verdicts ->
             let all v = List.for_all (fun x -> x = v) verdicts in
@@ -370,52 +222,18 @@ let feasibility_pass add tenv (prep : dep_prep) =
                     over-approximated (the layout is not selected by \
                     configuration alone)"
                    (P4.Pretty.expr_to_string cond)))
-    ir.Dep_ir.ir_ifs;
-  (* OD009: context fields with no influence on any branch, through a
-     taint closure over local definitions. *)
-  match prep.p_ctx with
+    ir.ir_ifs;
+  (* OD009: context fields with no influence on any branch. *)
+  match cat.ca_ctx with
   | None -> ()
   | Some (param, ctx_header) ->
-      let defs = ref [] and conds = ref [] in
-      let rec collect nodes =
-        List.iter
-          (fun (n : Dep_ir.node) ->
-            match n with
-            | Dep_ir.NIf { i_cond; i_then; i_else; _ } ->
-                conds := i_cond :: !conds;
-                collect i_then;
-                collect i_else
-            | Dep_ir.NAssign (l, r) -> (
-                match P4.Eval.path_of_expr l with
-                | Some p -> defs := (p, expr_paths r []) :: !defs
-                | None -> ())
-            | Dep_ir.NDecl (n, Some e) -> defs := ([ n ], expr_paths e []) :: !defs
-            | _ -> ())
-          nodes
-      in
-      collect ir.Dep_ir.ir_nodes;
-      let rec close set =
-        let grown =
-          List.fold_left
-            (fun acc (p, vars) ->
-              if List.mem p acc then
-                List.fold_left
-                  (fun acc v -> if List.mem v acc then acc else v :: acc)
-                  acc vars
-              else acc)
-            set !defs
-        in
-        if List.length grown = List.length set then set else close grown
-      in
-      let influencing =
-        close (List.concat_map (fun c -> expr_paths c []) !conds)
-      in
-      let whole_ctx_used = List.mem [ param.P4.Typecheck.c_name ] influencing in
+      let influencing = Dep_ir.influencing ir in
+      let whole_ctx_used = List.mem [ param.c_name ] influencing in
       List.iter
         (fun (f : P4.Typecheck.field) ->
           if
             (not whole_ctx_used)
-            && not (List.mem [ param.P4.Typecheck.c_name; f.f_name ] influencing)
+            && not (List.mem [ param.c_name; f.f_name ] influencing)
           then
             add
               (D.make ~span:f.f_span ~code:"OD009" ~severity:D.Info
@@ -431,44 +249,18 @@ let feasibility_pass add tenv (prep : dep_prep) =
    completion the device may emit under that configuration. When
    undecidable (runtime-data) branches fork the runs of one assignment,
    each semantic must agree across the forks — otherwise the accessor
-   can observe unwritten completion-ring bytes. *)
+   can observe unwritten completion-ring bytes. Forked runs the symbolic
+   walk proves unreachable are not feasible completions: an always-true
+   runtime guard must not fail certification. *)
 
-let describe_assignment (a : Ctxdom.assignment) =
-  match a with
-  | [] -> "{}"
-  | a ->
-      "{"
-      ^ String.concat ", " (List.map (fun (k, v) -> Printf.sprintf "%s=%Ld" k v) a)
-      ^ "}"
-
-let certification_pass add tenv (prep : dep_prep) =
-  (* Forked runs whose emit sequence is symbolically proved unreachable
-     (every matching leaf's path condition is bottom) are not feasible
-     completions: an always-true runtime guard must not fail
-     certification. *)
-  let sym =
-    Symexec.exec
-      ~base:
-        (Symexec.base_env
-           ~consts:(P4.Typecheck.const_env tenv)
-           ~ctx:prep.p_ctx ~params:prep.p_ctrl.ct_params ())
-      prep.p_ir
-  in
-  let feasible_run (r : Dep_ir.run) =
-    let ids =
-      List.map (fun (x : Dep_ir.exec_emit) -> x.Dep_ir.x_emit.Dep_ir.e_id) r.Dep_ir.r_emits
-    in
-    List.exists
-      (fun (l : Symexec.leaf) -> l.Symexec.lf_feasible && l.Symexec.lf_emit_ids = ids)
-      sym.Symexec.sx_leaves
-  in
+let certification_pass add (cat : Catalogue.t) =
   let reported : (string, unit) Hashtbl.t = Hashtbl.create 4 in
   List.iter
-    (fun a ->
+    (fun (a, crs) ->
       let runs =
         List.filter_map
-          (fun (a', r) -> if a' = a && feasible_run r then Some r else None)
-          prep.p_assign_runs
+          (fun (cr : Catalogue.run) -> Option.map (fun _ -> cr.run) cr.feasible)
+          crs
       in
       if List.length runs > 1 then
         let sems =
@@ -478,13 +270,15 @@ let certification_pass add tenv (prep : dep_prep) =
           (fun s ->
             if not (Hashtbl.mem reported s) then
               let placement r =
-                List.find_opt (fun af -> af.af_semantic = Some s) (fields_of_run r)
+                List.find_opt
+                  (fun (f : Layout.lfield) -> f.l_semantic = Some s)
+                  (Dep_ir.fields r)
               in
               let placements = List.map placement runs in
               let positions =
                 List.sort_uniq Stdlib.compare
                   (List.map
-                     (Option.map (fun af -> (af.af_bit_off, af.af_bits)))
+                     (Option.map (fun (f : Layout.lfield) -> (f.l_bit_off, f.l_bits)))
                      placements)
               in
               match positions with
@@ -493,14 +287,13 @@ let certification_pass add tenv (prep : dep_prep) =
                   Hashtbl.add reported s ();
                   let span =
                     List.find_map
-                      (Option.map (fun af -> af.af_span))
-                      (List.filter Option.is_some placements)
+                      (Option.map (fun (f : Layout.lfield) -> f.l_span))
+                      placements
                   in
                   let where = function
                     | None -> "absent"
-                    | Some (af : afield) ->
-                        Printf.sprintf "at bit %d (%d bits)" af.af_bit_off
-                          af.af_bits
+                    | Some (f : Layout.lfield) ->
+                        Printf.sprintf "at bit %d (%d bits)" f.l_bit_off f.l_bits
                   in
                   let variants =
                     List.sort_uniq String.compare (List.map where placements)
@@ -512,11 +305,11 @@ let certification_pass add tenv (prep : dep_prep) =
                         the field is %s; a fixed-offset read can observe \
                         unwritten completion bytes"
                        s
-                       (describe_assignment a)
+                       (Format.asprintf "%a" Context.pp a)
                        (List.length runs)
                        (String.concat " in one but " variants)))
           sems)
-    prep.p_assignments
+    cat.ca_runs
 
 (* ------------------------------------------------------------------ *)
 (* Pass 3: contract consistency. *)
@@ -524,7 +317,7 @@ let certification_pass add tenv (prep : dep_prep) =
 (* Headers whose contents actually cross the interface: emitted on some
    completion run, or named in any emit/extract call of any control or
    parser (packet streams included), or serving as the context. *)
-let used_headers tenv (prep : dep_prep option) =
+let used_headers tenv (cat : Catalogue.t option) =
   let used = Hashtbl.create 16 in
   let note_header = function
     | P4.Typecheck.RHeader h -> Hashtbl.replace used h.P4.Typecheck.h_name ()
@@ -561,22 +354,22 @@ let used_headers tenv (prep : dep_prep option) =
           List.iter (scan_stmt tenv scope) st.st_stmts)
         p.pr_states)
     (P4.Typecheck.parsers tenv);
-  (match prep with
-  | Some prep -> (
+  (match cat with
+  | Some cat -> (
       List.iter
-        (fun g ->
+        (fun (g : Catalogue.group) ->
           List.iter
-            (fun (x : Dep_ir.exec_emit) ->
-              Hashtbl.replace used x.Dep_ir.x_emit.Dep_ir.e_header.h_name ())
-            g.g_run.Dep_ir.r_emits)
-        prep.p_groups;
-      match prep.p_ctx with
+            (fun (h : P4.Typecheck.header_def) -> Hashtbl.replace used h.h_name ())
+            (Dep_ir.headers g.g_run))
+        cat.ca_groups;
+      match cat.ca_ctx with
       | Some (_, h) -> Hashtbl.replace used h.P4.Typecheck.h_name ()
       | None -> ())
   | None -> ());
   used
 
-let contract_pass add (inp : input) (prep : dep_prep option) (tx_formats : Tx_ir.fmt list) =
+let contract_pass add (inp : input) (cat : Catalogue.t option)
+    (tx_formats : Descparser.t list) =
   let tenv = inp.in_tenv in
   let registry = inp.in_registry in
   let reported_unknown = Hashtbl.create 8 in
@@ -617,7 +410,7 @@ let contract_pass add (inp : input) (prep : dep_prep option) (tx_formats : Tx_ir
         h.h_fields)
     (P4.Typecheck.headers tenv);
   (* OD012: declared contract surface nothing ever carries. *)
-  let used = used_headers tenv prep in
+  let used = used_headers tenv cat in
   List.iter
     (fun (h : P4.Typecheck.header_def) ->
       let sems =
@@ -635,26 +428,23 @@ let contract_pass add (inp : input) (prep : dep_prep option) (tx_formats : Tx_ir
   (* OD013: dominated paths — same Prov means the same Eq. 1 coverage for
      every intent, so the larger layout (or, on a size tie, the higher
      index) can never be selected. *)
-  (match prep with
+  (match cat with
   | None -> ()
-  | Some prep ->
+  | Some cat ->
       let paths =
         List.filter_map
-          (fun g ->
-            if g.g_run.Dep_ir.r_total_bits mod 8 = 0 then
-              Some
-                ( g.g_index,
-                  run_semantics g.g_run,
-                  g.g_run.Dep_ir.r_total_bits / 8 )
+          (fun (g : Catalogue.group) ->
+            if g.g_run.r_total_bits mod 8 = 0 then
+              Some (g.g_index, run_semantics g.g_run, g.g_run.r_total_bits / 8)
             else None)
-          prep.p_groups
+          cat.ca_groups
       in
       List.iter
         (fun (ia, prov_a, sz_a) ->
           List.iter
             (fun (ib, prov_b, sz_b) ->
               if ia < ib && prov_a = prov_b then
-                let span = prep.p_ctrl.ct_span in
+                let span = cat.ca_ctrl.ct_span in
                 let notes =
                   [ D.note (Printf.sprintf "shared semantics: {%s}" (String.concat ", " prov_a)) ]
                 in
@@ -676,14 +466,14 @@ let contract_pass add (inp : input) (prep : dep_prep option) (tx_formats : Tx_ir
         paths);
   (* OD014: TX formats the host cannot use to send. *)
   List.iter
-    (fun (f : Tx_ir.fmt) ->
+    (fun (f : Descparser.t) ->
       let sems =
         List.concat_map
           (fun ((_, h) : string * P4.Typecheck.header_def) ->
             List.filter_map
               (fun (fd : P4.Typecheck.field) -> fd.f_semantic)
               h.h_fields)
-          f.Tx_ir.t_extracts
+          f.d_extracts
       in
       if not (List.mem "buf_addr" sems) then
         let span =
@@ -693,17 +483,19 @@ let contract_pass add (inp : input) (prep : dep_prep option) (tx_formats : Tx_ir
           (D.make ?span ~code:"OD014" ~severity:D.Warning
              "TX format #%d has no buf_addr field; the device cannot fetch \
               packets"
-             f.Tx_ir.t_index))
+             f.d_index))
     tx_formats;
   (* OD015: an intent asking for hardware the NIC does not expose. *)
   match inp.in_intent with
   | None -> ()
   | Some fields ->
       let provided =
-        match prep with
+        match cat with
         | None -> []
-        | Some prep ->
-            List.concat_map (fun g -> run_semantics g.g_run) prep.p_groups
+        | Some cat ->
+            List.concat_map
+              (fun (g : Catalogue.group) -> run_semantics g.g_run)
+              cat.ca_groups
             |> List.sort_uniq String.compare
       in
       List.iter
@@ -711,7 +503,7 @@ let contract_pass add (inp : input) (prep : dep_prep option) (tx_formats : Tx_ir
           if not (registry.Registry_view.known s) then unknown s
           else if
             registry.Registry_view.hardware_only s
-            && prep <> None
+            && cat <> None
             && not (List.mem s provided)
           then
             add
@@ -732,48 +524,47 @@ let contract_pass add (inp : input) (prep : dep_prep option) (tx_formats : Tx_ir
    constant-time obligation reduces to the width limit checked here. *)
 let check_accessor_bounds ?(path_desc = "") ~size_bytes fields =
   List.concat_map
-    (fun af ->
-      if af.af_bits > 64 then
-        match af.af_semantic with
+    (fun (f : Layout.lfield) ->
+      if f.l_bits > 64 then
+        match f.l_semantic with
         | Some s ->
             [
-              D.make ~span:af.af_span ~code:"OD017" ~severity:D.Error
+              D.make ~span:f.l_span ~code:"OD017" ~severity:D.Error
                 "field %s.%s (@semantic %S) is %d bits wide; accessors are \
                  synthesized as constant-time loads of at most 64 bits, so \
                  this read is not synthesizable (the C and eBPF accessors \
                  would return a constant 0)"
-                af.af_header af.af_name s af.af_bits;
+                f.l_header f.l_name s f.l_bits;
             ]
         | None -> [] (* unannotated blobs are padding; nothing reads them *)
       else
-        let first = af.af_bit_off / 8 in
+        let first = f.l_bit_off / 8 in
         let last =
-          if af.af_bit_off mod 8 = 0 && af.af_bits mod 8 = 0 then
-            first + (af.af_bits / 8) - 1
-          else (af.af_bit_off + af.af_bits - 1) / 8
+          if f.l_bit_off mod 8 = 0 && f.l_bits mod 8 = 0 then
+            first + (f.l_bits / 8) - 1
+          else (f.l_bit_off + f.l_bits - 1) / 8
         in
         if last >= size_bytes then
           [
-            D.make ~span:af.af_span ~code:"OD016" ~severity:D.Error
+            D.make ~span:f.l_span ~code:"OD016" ~severity:D.Error
               "accessor for %s.%s reads bytes %d..%d but Size(p)%s is %d \
                bytes; the C and eBPF accessors would read out of bounds"
-              af.af_header af.af_name first last
+              f.l_header f.l_name first last
               (if path_desc = "" then "" else " of path " ^ path_desc)
               size_bytes;
           ]
         else [])
     fields
 
-let codegen_pass add (prep : dep_prep) =
+let codegen_pass add (cat : Catalogue.t) =
   List.iter
-    (fun g ->
+    (fun (g : Catalogue.group) ->
       let r = g.g_run in
-      if r.Dep_ir.r_total_bits mod 8 = 0 then
+      if r.r_total_bits mod 8 = 0 then
         check_accessor_bounds ~path_desc:(describe_run r)
-          ~size_bytes:(r.Dep_ir.r_total_bits / 8)
-          (fields_of_run r)
+          ~size_bytes:(r.r_total_bits / 8) (Dep_ir.fields r)
         |> List.iter add)
-    prep.p_groups
+    cat.ca_groups
 
 (* ------------------------------------------------------------------ *)
 (* Engine entry points. *)
@@ -781,37 +572,37 @@ let codegen_pass add (prep : dep_prep) =
 let analyze (inp : input) : D.t list =
   let acc = ref [] in
   let add d = acc := d :: !acc in
-  let prep = prepare add inp in
-  (match prep with
-  | Some prep ->
-      layout_pass add prep;
-      feasibility_pass add inp.in_tenv prep;
-      certification_pass add inp.in_tenv prep;
-      codegen_pass add prep
-  | None -> ());
+  let cat = prepare add inp in
+  Option.iter
+    (fun cat ->
+      layout_pass add cat;
+      feasibility_pass add inp.in_tenv cat;
+      certification_pass add cat;
+      codegen_pass add cat)
+    cat;
   let tx_formats =
     match inp.in_desc_parser with
     | None -> []
     | Some pd -> (
-        match Tx_ir.enumerate inp.in_tenv pd with
+        match Descparser.enumerate inp.in_tenv pd with
         | Ok f -> f
         | Error msg ->
             add (D.make ~span:pd.pr_span ~code:"OD002" ~severity:D.Error "%s" msg);
             [])
   in
-  contract_pass add inp prep tx_formats;
+  contract_pass add inp cat tx_formats;
   !acc
   |> List.map (D.relocate ~lines:inp.in_line_offset)
   |> List.sort_uniq D.compare
 
 let analyze_program ~registry ?intent ?(line_offset = 0) tenv =
   let desc_parser =
-    List.find_opt Tx_ir.is_desc_parser (P4.Typecheck.parsers tenv)
+    List.find_opt Descparser.is_desc_parser (P4.Typecheck.parsers tenv)
   in
   analyze
     {
       in_tenv = tenv;
-      in_deparser = None;
+      in_catalogue = None;
       in_desc_parser = desc_parser;
       in_registry = registry;
       in_intent = intent;

@@ -19,10 +19,11 @@
 
 type input = {
   in_tenv : P4.Typecheck.t;
-  in_deparser : P4.Typecheck.control_def option;
-      (** the resolved completion deparser, or [None] to locate it (an
-          unlocatable deparser yields OD002 unless the program declares
-          an intent header, which has none by design) *)
+  in_catalogue : Catalogue.t option;
+      (** the completion catalogue of a loaded description, or [None] to
+          locate the deparser and build it (an unlocatable deparser
+          yields OD002 unless the program declares an intent header,
+          which has none by design) *)
   in_desc_parser : P4.Typecheck.parser_def option;
   in_registry : Registry_view.t;
   in_intent : (string * int) list option;
@@ -31,22 +32,6 @@ type input = {
       (** prelude lines to subtract from every span; diagnostics landing
           inside the prelude lose their location *)
 }
-
-(** One field of a concrete completion layout as the codegen pass sees
-    it: absolute bit offset within the completion record. *)
-type afield = {
-  af_name : string;
-  af_header : string;
-  af_semantic : string option;
-  af_bit_off : int;
-  af_bits : int;
-  af_span : P4.Loc.span;
-}
-
-val fields_of_run : Dep_ir.run -> afield list
-(** Flatten one concrete deparser run into absolute-offset fields — the
-    layout view the codegen pass checks and {!Certify} re-proves
-    compiled plans against. *)
 
 val analyze : input -> Diagnostic.t list
 (** Run all passes. The result is deduplicated, relocated by
@@ -72,7 +57,7 @@ val analyze_source :
     rather than an exception. *)
 
 val check_accessor_bounds :
-  ?path_desc:string -> size_bytes:int -> afield list -> Diagnostic.t list
+  ?path_desc:string -> size_bytes:int -> Layout.lfield list -> Diagnostic.t list
 (** The codegen verification step in isolation: flag accessors that read
     bytes outside [size_bytes] (OD016) and semantic fields wider than
     64 bits, whose accessors degenerate to a constant 0 (OD017).

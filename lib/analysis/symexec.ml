@@ -54,11 +54,11 @@ let base_env ~(consts : P4.Eval.env)
         (rtyp_paths [ p.c_name ] p.c_typ))
     params;
   (* context fields override: the enumerated domain, widthless to
-     mirror Ctxdom.env_of (concrete context values carry no width) *)
+     mirror Context.env_of (concrete context values carry no width) *)
   (match ctx with
   | None -> ()
   | Some (p, h) -> (
-      match Ctxdom.domains h with
+      match Context.domains h with
       | Ok doms ->
           List.iter
             (fun (fname, vs) ->

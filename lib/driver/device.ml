@@ -1,3 +1,6 @@
+module Context = Opendesc_analysis.Context
+module Descparser = Opendesc_analysis.Descparser
+
 (* The active path's completion writer, staged once per (model, path):
    field [i] of the layout is written by [writers.(i)] with the value
    [resolvers.(i)] computes for the packet, so injection does no
@@ -11,7 +14,7 @@ type plan = {
 type t = {
   mutable model : Nic_models.Model.t;
   env : Softnic.Feature.env;
-  mutable config : Opendesc.Context.assignment;
+  mutable config : Context.assignment;
   mutable active_path : Opendesc.Path.t;
   mutable plan : plan;
   cmpt_ring : Ring.t;
@@ -23,7 +26,7 @@ type t = {
   rx_scratch_cmpt : bytes;  (** reusable [rx_consume] harvest buffers *)
   rx_scratch_pkt : bytes;
   buf_size : int;
-  mutable tx_format : Opendesc.Descparser.t option;
+  mutable tx_format : Descparser.t option;
   mutable rx_count : int;
   mutable tx_count : int;
   mutable drops : int;
@@ -42,7 +45,7 @@ type burst = {
 let normalize a = List.sort (fun (k1, _) (k2, _) -> String.compare k1 k2) a
 
 let assignment_matches config a =
-  Opendesc.Context.equal (normalize config) (normalize a)
+  Context.equal (normalize config) (normalize a)
 
 let path_for_config (spec : Opendesc.Nic_spec.t) config =
   List.find_opt
@@ -71,7 +74,7 @@ let smallest_tx (spec : Opendesc.Nic_spec.t) =
       Some
         (List.fold_left
            (fun best g ->
-             if Opendesc.Descparser.size g < Opendesc.Descparser.size best then g
+             if Descparser.size g < Descparser.size best then g
              else best)
            f rest)
 
@@ -81,13 +84,13 @@ let create ?(queue_depth = 512) ?(buf_size = 2048) ~config (model : Nic_models.M
   | None ->
       Error
         (Format.asprintf "%s: context %a selects no completion path"
-           model.spec.nic_name Opendesc.Context.pp config)
+           model.spec.nic_name Context.pp config)
   | Some path ->
       let tx_ring =
         Ring.create ~slots:queue_depth
           ~slot_size:
             (List.fold_left
-               (fun acc f -> max acc (Opendesc.Descparser.size f))
+               (fun acc f -> max acc (Descparser.size f))
                16 model.spec.tx_formats)
       in
       let cmpt_ring =
@@ -130,7 +133,7 @@ let configure t config =
   | None ->
       Error
         (Format.asprintf "%s: context %a selects no completion path"
-           t.model.spec.nic_name Opendesc.Context.pp config)
+           t.model.spec.nic_name Context.pp config)
   | Some path ->
       t.config <- config;
       t.active_path <- path;
@@ -150,7 +153,7 @@ let upgrade t ~config (model : Nic_models.Model.t) =
   | None ->
       Error
         (Format.asprintf "%s: context %a selects no completion path"
-           model.spec.nic_name Opendesc.Context.pp config)
+           model.spec.nic_name Context.pp config)
   | Some path ->
       if Ring.available t.cmpt_ring > 0 then
         Error
@@ -166,7 +169,7 @@ let upgrade t ~config (model : Nic_models.Model.t) =
              (Ring.slot_size t.cmpt_ring))
       else if
         List.exists
-          (fun f -> Opendesc.Descparser.size f > Ring.slot_size t.tx_ring)
+          (fun f -> Descparser.size f > Ring.slot_size t.tx_ring)
           model.spec.tx_formats
       then
         Error
@@ -297,7 +300,7 @@ let tx_process t ~fetch =
   match t.tx_format with
   | None -> 0
   | Some fmt ->
-      let addr_field = Opendesc.Descparser.field_for fmt "buf_addr" in
+      let addr_field = Descparser.field_for fmt "buf_addr" in
       let sent = ref 0 in
       (* The descriptor fetch reuses one scratch buffer: consuming a TX
          slot per packet must not allocate on the hot path. *)

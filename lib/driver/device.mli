@@ -38,7 +38,7 @@ type burst = {
 val create :
   ?queue_depth:int ->
   ?buf_size:int ->
-  config:Opendesc.Context.assignment ->
+  config:Opendesc_analysis.Context.assignment ->
   Nic_models.Model.t ->
   (t, string) result
 (** [config] must select one of the model's completion paths (compare
@@ -48,11 +48,11 @@ val create :
 val create_exn :
   ?queue_depth:int ->
   ?buf_size:int ->
-  config:Opendesc.Context.assignment ->
+  config:Opendesc_analysis.Context.assignment ->
   Nic_models.Model.t ->
   t
 
-val configure : t -> Opendesc.Context.assignment -> (unit, string) result
+val configure : t -> Opendesc_analysis.Context.assignment -> (unit, string) result
 (** Reprogram the queue context (the implicit control channel of the
     paper's Figure 2). Outstanding completions keep the old layout;
     callers normally drain first. *)
@@ -60,7 +60,10 @@ val configure : t -> Opendesc.Context.assignment -> (unit, string) result
 val active_path : t -> Opendesc.Path.t
 
 val upgrade :
-  t -> config:Opendesc.Context.assignment -> Nic_models.Model.t -> (unit, string) result
+  t ->
+  config:Opendesc_analysis.Context.assignment ->
+  Nic_models.Model.t ->
+  (unit, string) result
 (** Hot-swap the device's firmware contract in place: install a new
     behavioural model and program [config] (which must select one of its
     completion paths). Rings, DMA counters and the feature environment
@@ -128,11 +131,11 @@ val rx_consume_batch : t -> burst -> int
 
 (** {1 Transmit} *)
 
-val tx_format : t -> Opendesc.Descparser.t option
+val tx_format : t -> Opendesc_analysis.Descparser.t option
 (** The descriptor format the device currently parses (smallest by
     default). *)
 
-val set_tx_format : t -> Opendesc.Descparser.t -> unit
+val set_tx_format : t -> Opendesc_analysis.Descparser.t -> unit
 
 val tx_post : t -> bytes -> bool
 (** Host posts a raw TX descriptor and rings the doorbell. False when

@@ -224,7 +224,7 @@ let rebind t =
   t.target_fields <- Array.of_list (Validate.checker_fields checker)
 
 let layout_size t =
-  (Device.active_path t.dev).Opendesc.Path.p_layout.Opendesc.Path.size_bytes
+  (Device.active_path t.dev).Opendesc.Path.p_layout.size_bytes
 
 let count t k =
   t.c.injected <- t.c.injected + 1;
@@ -266,13 +266,13 @@ let apply_semantic t buf =
   if Array.length t.target_fields = 0 then apply_flip t buf
   else begin
     let f = Packet.Rng.choice t.rng t.target_fields in
-    let bits = f.Opendesc.Path.l_bits in
+    let bits = f.Opendesc_analysis.Layout.l_bits in
     let mbits = min bits 30 in
     let mask = Int64.of_int (1 + Packet.Rng.int t.rng ((1 lsl mbits) - 1)) in
     let old =
-      Opendesc.Accessor.reader ~bit_off:f.Opendesc.Path.l_bit_off ~bits buf
+      Opendesc.Accessor.reader ~bit_off:f.Opendesc_analysis.Layout.l_bit_off ~bits buf
     in
-    Opendesc.Accessor.writer ~bit_off:f.Opendesc.Path.l_bit_off ~bits buf
+    Opendesc.Accessor.writer ~bit_off:f.Opendesc_analysis.Layout.l_bit_off ~bits buf
       (Int64.logxor old mask)
   end
 

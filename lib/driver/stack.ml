@@ -92,8 +92,8 @@ let tx_echo_burst ledger device (b : Device.burst) =
   match Device.tx_format device with
   | None -> ()
   | Some fmt ->
-      let size = Opendesc.Descparser.size fmt in
-      let addr = Opendesc.Descparser.field_for fmt "buf_addr" in
+      let size = Opendesc_analysis.Descparser.size fmt in
+      let addr = Opendesc_analysis.Descparser.field_for fmt "buf_addr" in
       let descs =
         List.init b.bs_count (fun i ->
             let d = Bytes.make size '\x00' in

@@ -510,20 +510,6 @@ let dry_run ?alpha ?drill ~intent ~(old_spec : Opendesc.Nic_spec.t)
 (* ------------------------------------------------------------------ *)
 (* Rendering                                                          *)
 
-let esc s =
-  let b = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun ch ->
-      match ch with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let to_json (o : outcome) =
   let b = Buffer.create 512 in
   let field name f =
@@ -532,7 +518,9 @@ let to_json (o : outcome) =
     Buffer.add_string b "\":";
     f ()
   in
-  let str s = Buffer.add_string b ("\"" ^ esc s ^ "\"") in
+  let str s =
+    Buffer.add_string b ("\"" ^ Opendesc_analysis.Diagnostic.json_escape s ^ "\"")
+  in
   let int i = Buffer.add_string b (string_of_int i) in
   let bool v = Buffer.add_string b (if v then "true" else "false") in
   Buffer.add_string b "{\"schema\":\"opendesc-upgrade-2\"";

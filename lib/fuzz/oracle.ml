@@ -3,6 +3,7 @@ module D = Opendesc_analysis.Diagnostic
 module A = Opendesc_analysis.Absdom
 module Sx = Opendesc_analysis.Symexec
 module Ir = Opendesc_analysis.Dep_ir
+module Context = Opendesc_analysis.Context
 open Opendesc
 
 type stats = {
@@ -127,24 +128,13 @@ let value_str = function
 let vectors_per_assignment = 3
 
 let check_symexec rng (spec : Nic_spec.t) =
-  let ctrl = spec.deparser in
-  let* ir =
-    match Ir.of_control spec.tenv ctrl with
-    | Ok ir -> Ok ir
-    | Error m -> fail "symexec" "IR construction failed: %s" m
-  in
+  let ctrl = spec.deparser and cat = spec.catalogue in
+  let ir = cat.ca_ir in
   let consts = P4.Typecheck.const_env spec.tenv in
   let base = Sx.base_env ~consts ~ctx:spec.ctx ~params:ctrl.ct_params () in
   let sym = Sx.exec ~base ir in
-  let ctx_name =
-    match spec.ctx with Some (p, _) -> p.P4.Typecheck.c_name | None -> "ctx"
-  in
-  let assignments =
-    match spec.ctx with
-    | None -> [ [] ]
-    | Some (_, h) -> (
-        match Context.enumerate h with Ok a -> a | Error _ -> [ [] ])
-  in
+  let ctx_name = Opendesc_analysis.Catalogue.ctx_name cat in
+  let assignments = cat.ca_assignments in
   let runtime =
     List.concat_map
       (fun (p : P4.Typecheck.cparam) ->
@@ -364,7 +354,7 @@ let check_differential rng (spec : Nic_spec.t) =
     (fun acc (p : Path.t) ->
       let* () = acc in
       let* fields, tenv, pd = path_interp p in
-      let size = p.p_layout.Path.size_bytes in
+      let size = p.p_layout.size_bytes in
       let rec go n =
         if n = 0 then Ok ()
         else
@@ -400,7 +390,7 @@ let check_device rng (spec : Nic_spec.t) =
               fail "device" "device create failed for path %d: %s" p.p_index m
           | Ok dev ->
               let* fields, tenv, pd = path_interp p in
-              let size = p.p_layout.Path.size_bytes in
+              let size = p.p_layout.size_bytes in
               let wl =
                 Packet.Workload.make ~seed:(Rng.next64 rng) ~flows:8
                   Packet.Workload.Imix

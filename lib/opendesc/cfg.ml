@@ -1,3 +1,5 @@
+module Ir = Opendesc_analysis.Dep_ir
+
 type vertex = {
   v_id : int;
   v_emit : string;
@@ -24,110 +26,71 @@ exception Analysis_error of string
 let semantics_of_header (h : P4.Typecheck.header_def) =
   List.filter_map (fun (f : P4.Typecheck.field) -> f.f_semantic) h.h_fields
 
-(* Find the completion-stream parameter: the first cmpt_out-typed one. *)
-let out_param (c : P4.Typecheck.control_def) =
-  let is_out (p : P4.Typecheck.cparam) =
-    match p.c_typ with P4.Typecheck.RExtern "cmpt_out" -> true | _ -> false
-  in
-  match List.find_opt is_out c.ct_params with
-  | Some p -> p.c_name
-  | None ->
-      raise
-        (Analysis_error
-           (Printf.sprintf "control %s has no cmpt_out parameter" c.ct_name))
-
-let emit_target out_name (e : P4.Ast.expr) =
-  match e with
-  | P4.Ast.ECall (P4.Ast.EMember (base, meth), _, [ arg ]) when meth.name = "emit" -> (
-      match P4.Eval.path_of_expr base with
-      | Some [ b ] when b = out_name -> Some arg
-      | _ -> None)
-  | _ -> None
-
 type builder = {
   mutable vertices : vertex list;
   mutable edges : edge list;
   mutable next_id : int;
-  tenv : P4.Typecheck.t;
-  scope : P4.Typecheck.scope;
-  out_name : string;
+  mutable returned : (int * string) list;  (* reversed *)
 }
 
 (* The frontier is the set of (vertex id, pending edge label) pairs that
    the next emitted vertex must be linked from. Labels accumulate across
-   nested conditionals until an emit consumes them. *)
-let rec walk_block b frontier (stmts : P4.Ast.block) =
-  List.fold_left (walk_stmt b) frontier stmts
+   nested conditionals until an emit consumes them; a return ends the
+   body there, carrying its frontier to the final ends. *)
+let rec walk_nodes b frontier nodes = List.fold_left (walk_node b) frontier nodes
 
-and walk_stmt b frontier (s : P4.Ast.stmt) =
-  match s with
-  | P4.Ast.SCall e -> (
-      match emit_target b.out_name e with
-      | None -> frontier
-      | Some arg -> (
-          match P4.Typecheck.type_of_expr b.tenv b.scope arg with
-          | P4.Typecheck.RHeader h ->
-              let v =
-                {
-                  v_id = b.next_id;
-                  v_emit = P4.Pretty.expr_to_string arg;
-                  v_header = h;
-                  v_sem = semantics_of_header h;
-                  v_size = P4.Typecheck.header_bytes h;
-                }
-              in
-              b.next_id <- b.next_id + 1;
-              b.vertices <- v :: b.vertices;
-              List.iter
-                (fun (src, label) ->
-                  b.edges <- { e_src = src; e_dst = v.v_id; e_label = label } :: b.edges)
-                frontier;
-              [ (v.v_id, "") ]
-          | ty ->
-              raise
-                (Analysis_error
-                   (Printf.sprintf "emit of non-header expression %s : %s"
-                      (P4.Pretty.expr_to_string arg)
-                      (P4.Typecheck.rtyp_name ty)))))
-  | P4.Ast.SIf (cond, then_b, else_b) ->
-      let cond_s = P4.Pretty.expr_to_string cond in
+and walk_node b frontier (n : Ir.node) =
+  match n with
+  | Ir.NEmit em ->
+      let h = em.e_header in
+      let v =
+        {
+          v_id = b.next_id;
+          v_emit = em.e_arg;
+          v_header = h;
+          v_sem = semantics_of_header h;
+          v_size = P4.Typecheck.header_bytes h;
+        }
+      in
+      b.next_id <- b.next_id + 1;
+      b.vertices <- v :: b.vertices;
+      List.iter
+        (fun (src, label) ->
+          b.edges <- { e_src = src; e_dst = v.v_id; e_label = label } :: b.edges)
+        frontier;
+      [ (v.v_id, "") ]
+  | Ir.NIf { i_cond; i_then; i_else; _ } ->
+      let cond_s = P4.Pretty.expr_to_string i_cond in
       let with_label lbl (src, pending) =
         (src, if pending = "" then lbl else pending ^ " && " ^ lbl)
       in
       let then_frontier =
-        walk_block b (List.map (with_label cond_s) frontier) then_b
+        walk_nodes b (List.map (with_label cond_s) frontier) i_then
       in
-      let neg = "!" ^ cond_s in
       let else_frontier =
-        match else_b with
-        | Some eb -> walk_block b (List.map (with_label neg) frontier) eb
-        | None -> List.map (with_label neg) frontier
+        walk_nodes b (List.map (with_label ("!" ^ cond_s)) frontier) i_else
       in
       then_frontier @ else_frontier
-  | P4.Ast.SBlock blk -> walk_block b frontier blk
-  | P4.Ast.SAssign _ | P4.Ast.SVar _ | P4.Ast.SConst _ | P4.Ast.SEmpty
-  | P4.Ast.SReturn _ ->
-      frontier
+  | Ir.NReturn ->
+      b.returned <- List.rev_append frontier b.returned;
+      []
+  | Ir.NAssign _ | Ir.NDecl _ | Ir.NOther -> frontier
 
-let build tenv (c : P4.Typecheck.control_def) =
-  let out_name = out_param c in
-  let b =
-    {
-      vertices = [];
-      edges = [];
-      next_id = 0;
-      tenv;
-      scope = P4.Typecheck.scope_of_control tenv c;
-      out_name;
-    }
-  in
-  let final_frontier = walk_block b [ (root, "") ] c.ct_body in
-  let vertices = List.rev b.vertices in
-  let edges = List.rev b.edges in
-  let leaves =
-    List.sort_uniq compare (List.map (fun (src, _) -> src) final_frontier)
-  in
-  { vertices; edges; leaves; ends = final_frontier }
+let of_ir (ir : Ir.t) =
+  let b = { vertices = []; edges = []; next_id = 0; returned = [] } in
+  let final_frontier = walk_nodes b [ (root, "") ] ir.ir_nodes in
+  let ends = List.rev b.returned @ final_frontier in
+  {
+    vertices = List.rev b.vertices;
+    edges = List.rev b.edges;
+    leaves = List.sort_uniq compare (List.map fst ends);
+    ends;
+  }
+
+let build tenv c =
+  match Ir.of_control tenv c with
+  | Ok ir -> of_ir ir
+  | Error msg -> raise (Analysis_error msg)
 
 let vertex (t : t) id = List.find (fun v -> v.v_id = id) t.vertices
 

@@ -41,18 +41,15 @@ val root : int
 
 exception Analysis_error of string
 
-val out_param : P4.Typecheck.control_def -> string
-(** Name of the control's [cmpt_out]-typed parameter.
-    @raise Analysis_error when there is none. *)
-
-val emit_target : string -> P4.Ast.expr -> P4.Ast.expr option
-(** [emit_target out e] is the emitted argument when [e] is
-    [out.emit(arg)]. *)
+val of_ir : Opendesc_analysis.Dep_ir.t -> t
+(** Extract the CFG from the deparser IR: one vertex per emit site, in
+    site order. A [return] ends the body where it stands, so the walks
+    match the emit sequences {!Path.enumerate} can produce. *)
 
 val build : P4.Typecheck.t -> P4.Typecheck.control_def -> t
-(** Extract the CFG. Emits are calls of the form [out.emit(e)] on the
-    control's [cmpt_out]-typed parameter.
-    @raise Analysis_error when an emitted expression is not a header. *)
+(** {!of_ir} over a freshly built IR.
+    @raise Analysis_error when the IR cannot be built (no [cmpt_out]
+    parameter, or an emit of a non-header). *)
 
 val walks : t -> (string list * vertex list) list
 (** All complete walks: (predicate labels taken, vertices visited),

@@ -1,3 +1,5 @@
+module Descparser = Opendesc_analysis.Descparser
+
 let ctype_for bits =
   if bits <= 8 then "uint8_t"
   else if bits <= 16 then "uint16_t"
@@ -168,7 +170,7 @@ let datapath ~nic ~(path : Path.t) ~requested ~missing ~config ~tx_format =
               wrote_len := true;
               emit_store ~byte:(f.l_bit_off / 8) ~bytes_n:(f.l_bits / 8) ~src:"len"
             end)
-        fmt.d_layout.Path.fields;
+        fmt.d_layout.fields;
       if not !wrote_len then
         add "    (void)len; /* no length field in this descriptor format */\n";
       add "}\n");

@@ -18,9 +18,9 @@ type t = {
   outcome : Select.outcome;
   bindings : (string * binding) list;  (** per requested semantic, intent order *)
   field_accessors : Accessor.t list;  (** every field of the chosen path *)
-  config : Context.assignment;
+  config : Opendesc_analysis.Context.assignment;
       (** context values selecting the chosen path (first of the group) *)
-  tx_format : Descparser.t option;
+  tx_format : Opendesc_analysis.Descparser.t option;
       (** chosen TX descriptor format: the smallest format carrying every
           TX-intent semantic, or — when no format carries them all — the
           most-covering one (smallest on ties); the smallest format

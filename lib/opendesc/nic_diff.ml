@@ -1,3 +1,5 @@
+module Descparser = Opendesc_analysis.Descparser
+
 type change =
   | Semantic_added of string
   | Semantic_removed of string

@@ -12,86 +12,53 @@ type t = {
   tenv : P4.Typecheck.t;
   deparser : P4.Typecheck.control_def;
   ctx : (P4.Typecheck.cparam * P4.Typecheck.header_def) option;
+  catalogue : Opendesc_analysis.Catalogue.t;
   paths : Path.t list;
   pruning : Path.pruning;
   desc_parser : P4.Typecheck.parser_def option;
-  tx_formats : Descparser.t list;
+  tx_formats : Opendesc_analysis.Descparser.t list;
   notes : string;
 }
 
-let has_cmpt_out (c : P4.Typecheck.control_def) =
-  List.exists
-    (fun (p : P4.Typecheck.cparam) ->
-      match p.c_typ with P4.Typecheck.RExtern "cmpt_out" -> true | _ -> false)
-    c.ct_params
-
-let has_desc_in (p : P4.Typecheck.parser_def) =
-  List.exists
-    (fun (prm : P4.Typecheck.cparam) ->
-      match prm.c_typ with P4.Typecheck.RExtern "desc_in" -> true | _ -> false)
-    p.pr_params
-
-let is_deparser_annotated (c : P4.Typecheck.control_def) =
-  List.exists (fun (a : P4.Ast.annotation) -> a.aname = "cmpt_deparser") c.ct_annots
-
-let find_deparser tenv ~requested =
-  match requested with
-  | Some name -> (
-      match P4.Typecheck.find_control tenv name with
-      | Some c when has_cmpt_out c -> Ok c
-      | Some _ -> Error (Printf.sprintf "control %s has no cmpt_out parameter" name)
-      | None -> Error (Printf.sprintf "no control named %s" name))
-  | None -> (
-      let candidates = List.filter has_cmpt_out (P4.Typecheck.controls tenv) in
-      match List.filter is_deparser_annotated candidates with
-      | [ c ] -> Ok c
-      | _ :: _ :: _ -> Error "multiple @cmpt_deparser controls"
-      | [] -> (
-          match candidates with
-          | [ c ] -> Ok c
-          | [] -> Error "no completion deparser found (no control takes a cmpt_out)"
-          | _ -> Error "multiple deparser candidates; tag one with @cmpt_deparser"))
-
 let load ~name ~kind ?deparser ?(notes = "") p4_source =
-  match Prelude.check_result p4_source with
-  | Error e -> Error (Printf.sprintf "%s: %s" name e)
-  | Ok tenv -> (
-      match find_deparser tenv ~requested:deparser with
-      | Error e -> Error (Printf.sprintf "%s: %s" name e)
-      | Ok dep -> (
-          match Path.enumerate_pruned tenv dep with
-          | Error e -> Error (Printf.sprintf "%s: %s" name e)
-          | Ok (paths, pruning) -> (
-              let desc_parser = List.find_opt has_desc_in (P4.Typecheck.parsers tenv) in
-              let tx_formats =
-                match desc_parser with
-                | None -> Ok []
-                | Some pd -> Descparser.enumerate tenv pd
-              in
-              match tx_formats with
-              | Error e -> Error (Printf.sprintf "%s: %s" name e)
-              | Ok tx_formats ->
-                  Ok
-                    {
-                      nic_name = name;
-                      kind;
-                      p4_source;
-                      tenv;
-                      deparser = dep;
-                      ctx = Context.find_param dep;
-                      paths;
-                      pruning;
-                      desc_parser;
-                      tx_formats;
-                      notes;
-                    })))
+  let ( let* ) r f =
+    match r with Ok x -> f x | Error e -> Error (Printf.sprintf "%s: %s" name e)
+  in
+  let* tenv = Prelude.check_result p4_source in
+  let* dep = Opendesc_analysis.Dep_ir.locate_deparser ?requested:deparser tenv in
+  let* dep = Option.to_result ~none:Opendesc_analysis.Dep_ir.no_deparser dep in
+  let* catalogue = Opendesc_analysis.Catalogue.build tenv dep in
+  let* paths, pruning = Path.of_catalogue catalogue in
+  let desc_parser =
+    List.find_opt Opendesc_analysis.Descparser.is_desc_parser (P4.Typecheck.parsers tenv)
+  in
+  let* tx_formats =
+    match desc_parser with
+    | None -> Ok []
+    | Some pd -> Opendesc_analysis.Descparser.enumerate tenv pd
+  in
+  Ok
+    {
+      nic_name = name;
+      kind;
+      p4_source;
+      tenv;
+      deparser = dep;
+      ctx = catalogue.ca_ctx;
+      catalogue;
+      paths;
+      pruning;
+      desc_parser;
+      tx_formats;
+      notes;
+    }
 
 let load_exn ~name ~kind ?deparser ?notes src =
   match load ~name ~kind ?deparser ?notes src with
   | Ok t -> t
   | Error e -> failwith e
 
-let cfg t = Cfg.build t.tenv t.deparser
+let cfg t = Cfg.of_ir t.catalogue.ca_ir
 
 let registry_view (registry : Semantic.t) : Opendesc_analysis.Registry_view.t =
   {
@@ -112,7 +79,7 @@ let analyze ?registry ?intent t =
   Opendesc_analysis.Engine.analyze
     {
       Opendesc_analysis.Engine.in_tenv = t.tenv;
-      in_deparser = Some t.deparser;
+      in_catalogue = Some t.catalogue;
       in_desc_parser = t.desc_parser;
       in_registry = registry_view registry;
       in_intent = intent;
@@ -163,7 +130,8 @@ let fingerprint t =
       Buffer.add_char buf ']')
     t.paths;
   List.iter
-    (fun (f : Descparser.t) ->
-      Buffer.add_string buf (Printf.sprintf "|tx%d:%dB" f.d_index (Descparser.size f)))
+    (fun (f : Opendesc_analysis.Descparser.t) ->
+      Buffer.add_string buf
+        (Printf.sprintf "|tx%d:%dB" f.d_index (Opendesc_analysis.Descparser.size f)))
     t.tx_formats;
   Buffer.contents buf

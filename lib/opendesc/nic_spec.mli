@@ -21,11 +21,14 @@ type t = {
   tenv : P4.Typecheck.t;
   deparser : P4.Typecheck.control_def;
   ctx : (P4.Typecheck.cparam * P4.Typecheck.header_def) option;
+  catalogue : Opendesc_analysis.Catalogue.t;
+      (** the deparser's completion catalogue, built once here and read
+          by path enumeration, certification and the cost bound *)
   paths : Path.t list;  (** RX completion paths *)
   pruning : Path.pruning;
       (** symbolic feasibility census of the deparser's decision tree *)
   desc_parser : P4.Typecheck.parser_def option;
-  tx_formats : Descparser.t list;  (** TX descriptor formats *)
+  tx_formats : Opendesc_analysis.Descparser.t list;  (** TX descriptor formats *)
   notes : string;
 }
 

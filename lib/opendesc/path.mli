@@ -3,26 +3,20 @@
     A completion path is characterised by the emit sequence the deparser
     performs under one context configuration. We enumerate paths by
     executing the deparser body under {e every} assignment of the context
-    fields ({!Context.enumerate}) — unlike a syntactic root-to-leaf walk
-    of the CFG this prunes infeasible predicate combinations for free, and
-    it yields, per path, the exact set of configurations that select it
-    (which is what the driver later programs over the control channel).
+    fields ({!Opendesc_analysis.Context.enumerate}) — unlike a syntactic
+    root-to-leaf walk of the CFG this prunes infeasible predicate
+    combinations for free, and it yields, per path, the exact set of
+    configurations that select it (which is what the driver later
+    programs over the control channel).
 
     Per path we compute the paper's characterisation:
     Prov(p) = union of emitted field semantics, Size(p) = total bytes,
     plus the concrete field layout used for accessor synthesis. *)
 
+type lfield = Opendesc_analysis.Layout.lfield
 (** One field of the completion record, with its absolute position. *)
-type lfield = {
-  l_name : string;
-  l_header : string;  (** header the field came from *)
-  l_semantic : string option;
-  l_bit_off : int;  (** absolute offset from the start of the completion *)
-  l_bits : int;
-  l_span : P4.Loc.span;  (** declaration site of the source field *)
-}
 
-type layout = { fields : lfield list; size_bytes : int }
+type layout = Opendesc_analysis.Layout.t
 
 type t = {
   p_index : int;  (** stable index among the control's paths *)
@@ -30,7 +24,7 @@ type t = {
       (** (pretty-printed argument, emitted header) in order *)
   p_layout : layout;
   p_prov : string list;  (** Prov(p), sorted, distinct *)
-  p_assignments : Context.assignment list;
+  p_assignments : Opendesc_analysis.Context.assignment list;
       (** every context configuration that selects this path *)
 }
 
@@ -42,13 +36,6 @@ val provides : t -> string -> bool
 val field_for : t -> string -> lfield option
 (** First layout field carrying the given semantic. *)
 
-exception Exec_error of string
-(** Raised by the shared layout machinery on malformed layouts. *)
-
-val layout_of_emits : (string * P4.Typecheck.header_def) list -> layout
-(** Concatenate headers into an absolute field layout.
-    @raise Exec_error when the total is not byte-aligned. *)
-
 (** How the symbolic engine reduced the enumeration work. *)
 type pruning = {
   pr_syntactic : int;  (** root-to-leaf completion paths in the decision tree *)
@@ -58,12 +45,18 @@ type pruning = {
   pr_configs : int;  (** context configurations covered by those runs *)
 }
 
+val of_catalogue :
+  Opendesc_analysis.Catalogue.t -> (t list * pruning, string) result
+(** The paths of a built catalogue, one per distinct completion. Errors
+    when the context space is unbounded, when a branch condition is not
+    decidable from the context (naming the first such branch), or when
+    an emitted layout is not byte-aligned. *)
+
 val enumerate :
   P4.Typecheck.t -> P4.Typecheck.control_def -> (t list, string) result
-(** All distinct completion paths of a deparser. Errors when: the control
-    lacks a [cmpt_out] parameter; a branch condition is not decidable
-    from the context; an emitted expression is not a byte-aligned header;
-    or the context space is unbounded.
+(** All distinct completion paths of a deparser: {!of_catalogue} over a
+    fresh {!Opendesc_analysis.Catalogue.build}, which also errors when
+    the control lacks a [cmpt_out] parameter or emits a non-header.
 
     The walk is memoized on the branch-influencing context fields (a
     taint closure through locals), so the number of concrete executions

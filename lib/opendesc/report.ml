@@ -1,3 +1,6 @@
+module Context = Opendesc_analysis.Context
+module Descparser = Opendesc_analysis.Descparser
+
 let fpf = Format.fprintf
 
 let paths ppf (nic : Nic_spec.t) =

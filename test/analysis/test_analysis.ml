@@ -238,14 +238,14 @@ let test_od015_hardware_only_unprovided () =
 (* ------------------------------------------------------------------ *)
 (* Codegen verification. *)
 
-let afield ?semantic ~off ~bits name : Engine.afield =
+let afield ?semantic ~off ~bits name : Opendesc_analysis.Layout.lfield =
   {
-    af_name = name;
-    af_header = "h_t";
-    af_semantic = semantic;
-    af_bit_off = off;
-    af_bits = bits;
-    af_span = P4.Loc.dummy;
+    l_name = name;
+    l_header = "h_t";
+    l_semantic = semantic;
+    l_bit_off = off;
+    l_bits = bits;
+    l_span = P4.Loc.dummy;
   }
 
 let test_od016_accessor_out_of_bounds () =
@@ -409,7 +409,7 @@ type fixture = {
   fx_base : string list -> A.t;
   fx_consts : P4.Eval.env;
   fx_ctx_name : string;
-  fx_assignments : Opendesc.Context.assignment list;
+  fx_assignments : Opendesc_analysis.Context.assignment list;
   fx_runtime : (string list * int) list;
 }
 
@@ -435,7 +435,7 @@ let fixtures =
                match spec.ctx with
                | None -> [ [] ]
                | Some (_, h) -> (
-                   match Opendesc.Context.enumerate h with
+                   match Opendesc_analysis.Context.enumerate h with
                    | Ok a -> a
                    | Error _ -> [ [] ])
              in
@@ -473,7 +473,7 @@ let concrete_env fx a (vals : int64 array) : P4.Eval.env =
         (path, P4.Eval.vint ~width:w v))
       fx.fx_runtime
   in
-  let ctx_env = Opendesc.Context.env_of ~param_name:fx.fx_ctx_name a in
+  let ctx_env = Opendesc_analysis.Context.env_of ~param_name:fx.fx_ctx_name a in
   fun path ->
     match List.assoc_opt path runtime with
     | Some v -> Some v

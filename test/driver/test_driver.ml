@@ -187,8 +187,8 @@ let test_device_tx_path () =
   let pkts = Array.init 4 (fun i -> Packet.Builder.raw ~len:(64 + i) ~fill:'t') in
   Array.iteri
     (fun i _ ->
-      let desc = Bytes.make (Opendesc.Descparser.size fmt) '\x00' in
-      let addr = Option.get (Opendesc.Descparser.field_for fmt "buf_addr") in
+      let desc = Bytes.make (Opendesc_analysis.Descparser.size fmt) '\x00' in
+      let addr = Option.get (Opendesc_analysis.Descparser.field_for fmt "buf_addr") in
       Opendesc.Accessor.writer ~bit_off:addr.l_bit_off ~bits:addr.l_bits desc
         (Int64.of_int i);
       check ab "posted" true (Device.tx_post device desc))
@@ -1281,11 +1281,11 @@ let test_fault_doorbell_loss_recovers () =
   let plan = { (Fault.zero_plan 21L) with Fault.doorbell_loss_rate = 1.0 } in
   let fq = Fault.wrap plan device in
   let fmt = Option.get (Device.tx_format device) in
-  let addr = Option.get (Opendesc.Descparser.field_for fmt "buf_addr") in
+  let addr = Option.get (Opendesc_analysis.Descparser.field_for fmt "buf_addr") in
   let pkts = Array.init 4 (fun i -> Packet.Builder.raw ~len:(64 + i) ~fill:'t') in
   let descs =
     List.init 4 (fun i ->
-        let desc = Bytes.make (Opendesc.Descparser.size fmt) '\x00' in
+        let desc = Bytes.make (Opendesc_analysis.Descparser.size fmt) '\x00' in
         Opendesc.Accessor.writer ~bit_off:addr.l_bit_off ~bits:addr.l_bits desc
           (Int64.of_int i);
         desc)
@@ -1847,6 +1847,24 @@ let test_upgrade_effective_class_scoping () =
       check ab "would quarantine" true
         (o.Upgrade.o_action = Upgrade.Quarantined)
 
+(* The outcome JSON shares the diagnostics' escaper: control characters
+   in a refusal reason render as JSON short escapes. *)
+let test_upgrade_json_escapes_reason () =
+  match
+    Upgrade.dry_run ~intent:upgrade_intent ~old_spec:(rev_a ()) ~new_spec:(rev_b ()) ()
+  with
+  | Error e -> Alcotest.fail e
+  | Ok o ->
+      let json =
+        Upgrade.to_json { o with Upgrade.o_action = Upgrade.Refused "a\tb\"c" }
+      in
+      let want = {|"reason":"a\tb\"c"|} in
+      let n = String.length want in
+      let rec found i =
+        i + n <= String.length json && (String.sub json i n = want || found (i + 1))
+      in
+      check ab "tab and quote escaped" true (found 0)
+
 (* ------------------------------------------------------------------ *)
 (* Static cost-bound certification (docs/COSTMODEL.md) *)
 
@@ -2068,6 +2086,8 @@ let () =
             test_upgrade_breaking_quarantines;
           Alcotest.test_case "effective class scoping" `Quick
             test_upgrade_effective_class_scoping;
+          Alcotest.test_case "json escapes reason" `Quick
+            test_upgrade_json_escapes_reason;
         ]
         @ qsuite [ prop_upgrade_random_timing_never_tears ] );
       ("properties", qsuite [ prop_dma_accounting ]);

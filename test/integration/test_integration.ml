@@ -222,19 +222,84 @@ let test_nic_diff_report_renders () =
   check ab "mentions recompilation" true (contains s "recompilation")
 
 (* ------------------------------------------------------------------ *)
-(* Symbolic pruning: the memoized, feasibility-pruned enumeration must be
-   observationally identical to the brute-force configuration product. *)
+(* Symbolic pruning: the memoized, feasibility-pruned catalogue must be
+   observationally identical to the brute-force configuration product —
+   the paths, and everything the lint engine, certification and the
+   cost bound read: the per-assignment runs (forks included) and the
+   feasible groups with their indices. *)
+
+module Cat = Opendesc_analysis.Catalogue
+
+(* A runtime-data branch under a configuration branch: the catalogue
+   forks (and Path refuses) under use_rss = 0 only. *)
+let forked_source =
+  {|
+header fk_ctx_t { bit<1> use_rss; bit<2> unused; }
+header fk_rss_t { @semantic("rss") bit<32> hash; }
+header fk_legacy_t { @semantic("pkt_len") bit<16> len; bit<16> status; }
+struct fk_meta_t { fk_rss_t rss; fk_legacy_t legacy; }
+@cmpt_deparser
+control FkDeparser(cmpt_out o, in fk_ctx_t ctx, in fk_meta_t m) {
+  apply {
+    if (ctx.use_rss == 1) { o.emit(m.rss); }
+    else { if (m.legacy.status == 1) { o.emit(m.rss); } else { o.emit(m.legacy); } }
+  }
+}
+|}
+
+let memo_fixtures () =
+  let firmware name =
+    let ic = open_in_bin (Filename.concat "../../examples/firmware" name) in
+    let src = really_input_string ic (in_channel_length ic) in
+    close_in ic;
+    (name, src)
+  in
+  let generated =
+    List.init 40 (fun index ->
+        let name = Printf.sprintf "gen%d" index in
+        let seed = Opendesc_fuzz.Gen.spec_seed ~seed:11L ~index in
+        (name, Opendesc_fuzz.Spec.render (Opendesc_fuzz.Gen.generate ~seed ~name ())))
+  in
+  let load (name, src) =
+    match Prelude.check_result src with
+    | Error e -> Alcotest.failf "%s: %s" name e
+    | Ok tenv -> (
+        match Opendesc_analysis.Dep_ir.locate_deparser tenv with
+        | Ok (Some c) -> (name, tenv, c)
+        | _ -> Alcotest.failf "%s: no deparser" name)
+  in
+  List.map
+    (fun (m : Nic_models.Model.t) -> (m.spec.nic_name, m.spec.tenv, m.spec.deparser))
+    (Nic_models.Catalog.all ())
+  @ List.map load
+      (List.map firmware [ "e1000_rev_a.p4"; "e1000_rev_b.p4"; "e1000_rev_broken.p4" ]
+      @ generated
+      @ [ ("forked", forked_source) ])
 
 let test_memoized_enumeration_identical () =
+  let forks = ref 0 in
   List.iter
-    (fun (m : Nic_models.Model.t) ->
-      let spec = m.spec in
-      match Path.enumerate_product spec.tenv spec.deparser with
-      | Error e -> Alcotest.failf "%s: %s" spec.nic_name e
-      | Ok product ->
-          check ab (spec.nic_name ^ ": identical paths") true
-            (Stdlib.compare product spec.paths = 0))
-    (Nic_models.Catalog.all ())
+    (fun (name, tenv, ctrl) ->
+      let build memoize =
+        match Cat.build ~memoize tenv ctrl with
+        | Ok c -> c
+        | Error e -> Alcotest.failf "%s: %s" name e
+      in
+      let memo = build true and product = build false in
+      check ab (name ^ ": identical runs") true (memo.ca_runs = product.ca_runs);
+      check ab (name ^ ": identical groups") true (memo.ca_groups = product.ca_groups);
+      check ab (name ^ ": identical feasible groups") true
+        (memo.ca_feasible = product.ca_feasible);
+      check ab (name ^ ": memoization never runs more than the product") true
+        (memo.ca_executions <= product.ca_executions);
+      check ab (name ^ ": identical paths") true
+        (Stdlib.compare (Path.enumerate tenv ctrl) (Path.enumerate_product tenv ctrl)
+        = 0);
+      List.iter
+        (fun (_, runs) -> if List.length runs > 1 then incr forks)
+        memo.ca_runs)
+    (memo_fixtures ());
+  check ab "some assignment forked" true (!forks > 0)
 
 let test_qdma_pruning_census () =
   let models = Nic_models.Catalog.all () in
@@ -257,7 +322,7 @@ let test_accessor_certified_ranges () =
   check ab "16-bit field range" true (csum.a_range = (0L, 0xFFFFL));
   let lf =
     {
-      Path.l_name = "flag";
+      Opendesc_analysis.Layout.l_name = "flag";
       l_header = "h";
       l_semantic = Some "flag";
       l_bit_off = 0;
@@ -268,7 +333,7 @@ let test_accessor_certified_ranges () =
   let clamped = Accessor.of_lfield ~registry_bits:1 lf in
   check ab "registry clamps the certified range" true
     (clamped.a_range = (0L, 1L));
-  let blob = Accessor.of_lfield { lf with Path.l_bits = 128 } in
+  let blob = Accessor.of_lfield { lf with Opendesc_analysis.Layout.l_bits = 128 } in
   check ab "blob fields carry no range" true (blob.a_range = (0L, 0L))
 
 (* New application-defined semantic: declared in the intent with @cost,

@@ -37,9 +37,9 @@ let test_e1000_tx_descriptor () =
   let m = E1000.legacy () in
   match m.spec.tx_formats with
   | [ f ] ->
-      check ai "16-byte tx desc" 16 (Opendesc.Descparser.size f);
+      check ai "16-byte tx desc" 16 (Opendesc_analysis.Descparser.size f);
       check ab "vlan insertion field" true
-        (Opendesc.Descparser.field_for f "vlan" <> None)
+        (Opendesc_analysis.Descparser.field_for f "vlan" <> None)
   | _ -> Alcotest.fail "expected one tx format"
 
 (* ------------------------------------------------------------------ *)

@@ -4,6 +4,8 @@
    driver. *)
 
 open Opendesc
+module Context = Opendesc_analysis.Context
+module Descparser = Opendesc_analysis.Descparser
 
 let check = Alcotest.check
 let ai = Alcotest.int
@@ -70,6 +72,30 @@ let test_load_finds_annotated_deparser () =
 let test_load_rejects_no_deparser () =
   match Nic_spec.load ~name:"x" ~kind:Nic_spec.Fixed_function "header h_t { bit<8> v; }" with
   | Error e -> check ab "no deparser" true (contains e "deparser")
+  | Ok _ -> Alcotest.fail "expected failure"
+
+(* A struct emitted in a dead branch still makes the deparser IR
+   unbuildable: load must refuse it with the lint's own OD002 message
+   instead of accepting it with an empty pruning census. *)
+let test_load_rejects_dead_struct_emit () =
+  let src =
+    {|
+header a_t { @semantic("rss") bit<32> v; }
+struct s_t { a_t a; }
+control C(cmpt_out o, in s_t s) {
+  apply { o.emit(s.a); if (false) { o.emit(s); } }
+}
+|}
+  in
+  let lint =
+    List.filter_map
+      (fun (d : Opendesc_analysis.Diagnostic.t) ->
+        if d.d_code = "OD002" then Some d.d_msg else None)
+      (Nic_spec.analyze_source src)
+  in
+  check asl "lint" [ "emit of non-header s : s_t" ] lint;
+  match Nic_spec.load ~name:"x" ~kind:Nic_spec.Fixed_function src with
+  | Error e -> check astr "load error" "x: emit of non-header s : s_t" e
   | Ok _ -> Alcotest.fail "expected failure"
 
 let test_load_finds_desc_parser () =
@@ -213,6 +239,64 @@ let test_cfg_dot_output () =
   check ab "digraph" true (contains dot "digraph");
   check ab "has labels" true (contains dot "use_rss")
 
+(* emit a; if (ctx.f == 1) { return; } emit b: the return ends the body
+   after a, so b is reached only on the negated predicate. *)
+let return_src =
+  {|
+header ctx3_t { bit<1> f; }
+header a_t { @semantic("rss") bit<32> v; }
+header b_t { @semantic("vlan") bit<16> v; bit<16> pad; }
+struct m3_t { a_t a; b_t b; }
+control C(cmpt_out o, in ctx3_t ctx, in m3_t m) {
+  apply { o.emit(m.a); if (ctx.f == 1) { return; } o.emit(m.b); }
+}
+|}
+
+let test_cfg_return_ends_walk () =
+  let tenv = Prelude.check return_src in
+  let c = Option.get (P4.Typecheck.find_control tenv "C") in
+  let walks = Cfg.walks (Cfg.build tenv c) in
+  let emits (_, vs) = List.map (fun (v : Cfg.vertex) -> v.v_emit) vs in
+  check (Alcotest.list asl) "walks"
+    [ [ "m.a" ]; [ "m.a"; "m.b" ] ]
+    (List.sort compare (List.map emits walks));
+  let labels_of seq = fst (List.find (fun w -> emits w = seq) walks) in
+  check asl "return walk" [ "(ctx.f == 1)" ] (labels_of [ "m.a" ]);
+  check asl "fall-through walk" [ "!(ctx.f == 1)" ] (labels_of [ "m.a"; "m.b" ]);
+  let dot = Cfg.to_dot (Cfg.build tenv c) in
+  check ab "edge to b is guarded by the negation" true
+    (contains dot "v0 -> v1 [label=\"!(ctx.f == 1)\"]")
+
+(* Every completion path is the vertex sequence of some CFG walk: the
+   CFG and the enumeration are read off the same IR. *)
+let test_cfg_walks_cover_paths () =
+  let firmware name =
+    let ic = open_in_bin (Filename.concat "../../examples/firmware" name) in
+    let src = really_input_string ic (in_channel_length ic) in
+    close_in ic;
+    Nic_spec.load_exn ~name ~kind:Nic_spec.Fixed_function src
+  in
+  let specs =
+    List.map (fun (m : Nic_models.Model.t) -> m.spec) (Nic_models.Catalog.all ())
+    @ List.map firmware [ "e1000_rev_a.p4"; "e1000_rev_b.p4"; "e1000_rev_broken.p4" ]
+    @ [ Nic_spec.load_exn ~name:"return" ~kind:Nic_spec.Fixed_function return_src ]
+  in
+  List.iter
+    (fun (spec : Nic_spec.t) ->
+      let walks =
+        List.map
+          (fun (_, vs) -> List.map (fun (v : Cfg.vertex) -> v.v_emit) vs)
+          (Cfg.walks (Nic_spec.cfg spec))
+      in
+      List.iter
+        (fun (p : Path.t) ->
+          check ab
+            (Printf.sprintf "%s path #%d is a walk" spec.nic_name p.p_index)
+            true
+            (List.mem (List.map fst p.p_emits) walks))
+        spec.paths)
+    specs
+
 (* ------------------------------------------------------------------ *)
 (* Path enumeration *)
 
@@ -297,14 +381,18 @@ let test_paths_data_dependent_branch_rejected () =
 header ctx_t { bit<1> c; }
 header h_t { @semantic("rss") bit<32> v; }
 control C(cmpt_out o, in ctx_t ctx, in h_t m) {
-  apply { if (m.v == 0) { o.emit(m); } }
+  apply { if (m.v == 0) { o.emit(m); } if (m.v == 1) { o.emit(m); } }
 }
 |}
   in
   let tenv = Prelude.check src in
   let c = Option.get (P4.Typecheck.find_control tenv "C") in
   match Path.enumerate tenv c with
-  | Error e -> check ab "mentions decidable" true (contains e "decidable")
+  | Error e ->
+      check astr "names the first undecidable branch"
+        "branch (m.v == 0) is not decidable from the context; OpenDesc \
+         requires completion layouts to be selected by configuration"
+        e
   | Ok _ -> Alcotest.fail "expected rejection"
 
 let test_paths_local_derived_conditions () =
@@ -674,7 +762,7 @@ let gen_layout =
       (fun (off, acc) w ->
         ( off + w,
           {
-            Path.l_name = Printf.sprintf "f%d" (List.length acc);
+            Opendesc_analysis.Layout.l_name = Printf.sprintf "f%d" (List.length acc);
             l_header = "h";
             l_semantic = None;
             l_bit_off = off;
@@ -686,13 +774,13 @@ let gen_layout =
   in
   let fields = List.rev fields in
   let size_bytes = List.fold_left (fun a (f : Path.lfield) -> a + f.l_bits) 0 fields / 8 in
-  { Path.fields; size_bytes }
+  { Opendesc_analysis.Layout.fields; size_bytes }
 
 let prop_layout_write_read =
   QCheck.Test.make ~name:"layout write/read roundtrip" ~count:300
     (QCheck.make gen_layout)
     (fun layout ->
-      let b = Bytes.make layout.Path.size_bytes '\x00' in
+      let b = Bytes.make layout.size_bytes '\x00' in
       let value_of (f : Path.lfield) =
         Int64.logand
           (Int64.of_int ((f.l_bit_off * 2654435761) land max_int))
@@ -704,7 +792,7 @@ let prop_layout_write_read =
           Int64.equal
             (Accessor.reader ~bit_off:f.l_bit_off ~bits:f.l_bits b)
             (value_of f))
-        layout.Path.fields)
+        layout.fields)
 
 (* Property: the synthesized reader — including the single-load
    mask/shift fast path for fields contained in one aligned 64-bit word
@@ -834,6 +922,8 @@ let () =
           Alcotest.test_case "reports errors" `Quick test_prelude_reports_errors;
           Alcotest.test_case "finds deparser" `Quick test_load_finds_annotated_deparser;
           Alcotest.test_case "rejects no deparser" `Quick test_load_rejects_no_deparser;
+          Alcotest.test_case "rejects dead struct emit" `Quick
+            test_load_rejects_dead_struct_emit;
           Alcotest.test_case "finds desc parser" `Quick test_load_finds_desc_parser;
         ] );
       ( "context",
@@ -856,6 +946,8 @@ let () =
           Alcotest.test_case "walk termination labels" `Quick
             test_cfg_walk_termination_labels;
           Alcotest.test_case "dot output" `Quick test_cfg_dot_output;
+          Alcotest.test_case "return ends walk" `Quick test_cfg_return_ends_walk;
+          Alcotest.test_case "walks cover paths" `Quick test_cfg_walks_cover_paths;
         ] );
       ( "path",
         [

@@ -3,6 +3,8 @@
    properties. *)
 
 open Opendesc
+module Context = Opendesc_analysis.Context
+module Descparser = Opendesc_analysis.Descparser
 
 let check = Alcotest.check
 let ai = Alcotest.int
