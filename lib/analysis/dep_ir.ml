@@ -251,3 +251,39 @@ let run ~consts ~ctx_env t : run list =
            r_total_bits = st.bits;
            r_undecided = st.undecided;
          })
+
+(* The branch decisions of one concrete walk under a fully-valued [env]:
+   [(site, taken)] in the order taken, or [None] when some predicate on
+   the walk is undecidable there (an extern-driven input). Unlike [run]
+   it never forks; the symbolic executor's soundness checks compare its
+   result against the decisions of their leaves. *)
+exception Stop_walk
+exception Undecidable_walk
+
+let concrete_decisions t env0 =
+  let locals : (string list, P4.Eval.value) Hashtbl.t = Hashtbl.create 8 in
+  let env path =
+    match Hashtbl.find_opt locals path with Some v -> Some v | None -> env0 path
+  in
+  let decisions = ref [] in
+  let rec exec nodes = List.iter exec1 nodes
+  and exec1 = function
+    | NEmit _ | NOther -> ()
+    | NIf { i_id; i_cond; i_then; i_else } -> (
+        match P4.Eval.eval_bool env i_cond with
+        | Some b ->
+            decisions := (i_id, b) :: !decisions;
+            exec (if b then i_then else i_else)
+        | None -> raise Undecidable_walk)
+    | NAssign (l, r) -> (
+        match P4.Eval.path_of_expr l with
+        | Some p -> Hashtbl.replace locals p (P4.Eval.eval env r)
+        | None -> ())
+    | NDecl (n, init) ->
+        Hashtbl.replace locals [ n ]
+          (match init with Some e -> P4.Eval.eval env e | None -> P4.Eval.VUnknown)
+    | NReturn -> raise Stop_walk
+  in
+  match exec t.ir_nodes with
+  | () | (exception Stop_walk) -> Some (List.rev !decisions)
+  | exception Undecidable_walk -> None

@@ -54,7 +54,4 @@ type result = {
   sx_pruned : int;  (** leaves proved infeasible *)
 }
 
-val feasible_mask : result -> bool list
-(** One flag per syntactic leaf, in tree order. *)
-
 val exec : base:(string list -> Absdom.t) -> Dep_ir.t -> result

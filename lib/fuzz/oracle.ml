@@ -84,42 +84,6 @@ let rec rtyp_leaf_widths prefix (t : P4.Typecheck.rtyp) acc =
         acc s.s_fields
   | _ -> acc
 
-exception Stop_walk
-exception Undecidable_walk
-
-let concrete_decisions (ir : Ir.t) env0 =
-  let locals : (string list, P4.Eval.value) Hashtbl.t = Hashtbl.create 8 in
-  let env path =
-    match Hashtbl.find_opt locals path with
-    | Some v -> Some v
-    | None -> env0 path
-  in
-  let decisions = ref [] in
-  let rec exec nodes = List.iter exec1 nodes
-  and exec1 = function
-    | Ir.NEmit _ | Ir.NOther -> ()
-    | Ir.NIf { i_id; i_cond; i_then; i_else } -> (
-        match P4.Eval.eval_bool env i_cond with
-        | Some b ->
-            decisions := (i_id, b) :: !decisions;
-            exec (if b then i_then else i_else)
-        | None -> raise Undecidable_walk)
-    | Ir.NAssign (l, r) -> (
-        match P4.Eval.path_of_expr l with
-        | Some p -> Hashtbl.replace locals p (P4.Eval.eval env r)
-        | None -> ())
-    | Ir.NDecl (n, init) ->
-        Hashtbl.replace locals [ n ]
-          (match init with
-          | Some e -> P4.Eval.eval env e
-          | None -> P4.Eval.VUnknown)
-    | Ir.NReturn -> raise Stop_walk
-  in
-  match exec ir.Ir.ir_nodes with
-  | () -> Some (List.rev !decisions)
-  | exception Stop_walk -> Some (List.rev !decisions)
-  | exception Undecidable_walk -> None
-
 let value_str = function
   | P4.Eval.VInt { v; _ } -> Int64.to_string v
   | P4.Eval.VBool b -> string_of_bool b
@@ -178,7 +142,7 @@ let check_symexec rng (spec : Nic_spec.t) =
               (P4.Pretty.expr_to_string cond))
         (Ok ()) ir.Ir.ir_ifs
     in
-    match concrete_decisions ir env with
+    match Ir.concrete_decisions ir env with
     | None -> Ok ()
     | Some ds -> (
         let key = List.sort compare ds in

@@ -63,8 +63,10 @@ let skip_trivia st =
 
 (* Numbers: 42, 0x2A, 0b1010, 0o52, and width-prefixed 8w255 / 4s7 /
    8w0xFF. We lex a digit run first; a following [w]/[s] turns it into a
-   width prefix. *)
+   width prefix. Every digit run must fit in 64 unsigned bits; an
+   overflowing literal is reported at its first character. *)
 let lex_number st =
+  let start = pos st in
   let read_digits base =
     let v = ref 0L in
     let any = ref false in
@@ -83,7 +85,14 @@ let lex_number st =
           go ()
       | Some c when ok c ->
           any := true;
-          v := Int64.add (Int64.mul !v (Int64.of_int base)) (Int64.of_int (digit_val c));
+          let d = Int64.of_int (digit_val c) and b = Int64.of_int base in
+          (* [v * base + d] fits in 64 unsigned bits iff
+             [v <= (2^64 - 1 - d) / base]; below 2^56 it always does. *)
+          if
+            Int64.shift_right_logical !v 56 <> 0L
+            && Int64.unsigned_compare !v (Int64.unsigned_div (Int64.sub (-1L) d) b) > 0
+          then raise (Error ("integer literal does not fit in 64 bits", start));
+          v := Int64.add (Int64.mul !v b) d;
           advance st;
           go ()
       | _ -> ()

@@ -1,25 +1,40 @@
 exception Error of string * Loc.span
 
-type state = { toks : Token.t array; mutable cur : int }
+(* The cursor is the unread suffix of the token list, which always ends
+   with [Eof]; saving it is all backtracking needs. [speculating] counts
+   the enclosing [try_parse]s: an error raised under one is caught and
+   thrown away, so it is the preallocated [backtrack] rather than a
+   formatted message. *)
+type state = { mutable toks : Token.t list; mutable speculating : int }
 
-let make toks = { toks = Array.of_list toks; cur = 0 }
-let here st = st.toks.(st.cur)
+let backtrack = Error ("backtrack", Loc.dummy)
+
+let make toks = { toks; speculating = 0 }
+
+let here st =
+  match st.toks with t :: _ -> t | [] -> invalid_arg "Parser: token list without Eof"
+
 let peek_kind st = (here st).Token.kind
-let peek_kind_at st n =
-  let i = min (st.cur + n) (Array.length st.toks - 1) in
-  st.toks.(i).Token.kind
 
+(* The token after the current one; [Eof] stays put at the end. *)
+let next st = match st.toks with _ :: t :: _ -> t | _ -> here st
+
+let is st kind = Token.equal_kind (peek_kind st) kind
 let span st = (here st).Token.span
-let advance st = if st.cur < Array.length st.toks - 1 then st.cur <- st.cur + 1
+let advance st = match st.toks with _ :: (_ :: _ as rest) -> st.toks <- rest | _ -> ()
 
-let err st msg = raise (Error (msg, span st))
+let err st msg = if st.speculating > 0 then raise backtrack else raise (Error (msg, span st))
 
-let expect st kind what =
-  if peek_kind st = kind then advance st
+(* "expected [what], found <the current token>", formatted only when
+   someone will read it. *)
+let expected st what =
+  if st.speculating > 0 then raise backtrack
   else err st (Printf.sprintf "expected %s, found %s" what (Token.describe (peek_kind st)))
 
+let expect st kind what = if is st kind then advance st else expected st what
+
 let accept st kind =
-  if peek_kind st = kind then begin
+  if is st kind then begin
     advance st;
     true
   end
@@ -31,7 +46,7 @@ let ident st =
       let sp = span st in
       advance st;
       { Ast.name; span = sp }
-  | k -> err st (Printf.sprintf "expected identifier, found %s" (Token.describe k))
+  | _ -> expected st "identifier"
 
 (* Member position also admits the keywords that double as method or
    property names in P4 ([t.apply()], [h.key], ...). *)
@@ -40,19 +55,24 @@ let member_ident st =
   | Token.Ident _ -> ident st
   | k -> (
       let sp = span st in
-      match List.find_opt (fun (_, k') -> k' = k) Token.keyword_table with
-      | Some (name, _) ->
+      match Token.keyword_name k with
+      | Some name ->
           advance st;
           { Ast.name; span = sp }
-      | None -> err st (Printf.sprintf "expected member name, found %s" (Token.describe k)))
+      | None -> expected st "member name")
 
 (* Backtracking helper: run [f]; on failure restore the cursor. *)
 let try_parse st f =
-  let saved = st.cur in
-  try Some (f st)
-  with Error _ ->
-    st.cur <- saved;
-    None
+  let saved = st.toks in
+  st.speculating <- st.speculating + 1;
+  match f st with
+  | v ->
+      st.speculating <- st.speculating - 1;
+      Some v
+  | exception Error _ ->
+      st.speculating <- st.speculating - 1;
+      st.toks <- saved;
+      None
 
 (* ------------------------------------------------------------------ *)
 (* Annotations: @name or @name(arg, ...). *)
@@ -71,11 +91,11 @@ let annotation_arg st : Ast.annot_arg =
       | Token.Int { value; _ } ->
           advance st;
           Ast.AInt (Int64.neg value)
-      | k -> err st (Printf.sprintf "expected integer after '-', found %s" (Token.describe k)))
+      | _ -> expected st "integer after '-'")
   | Token.Ident s ->
       advance st;
       Ast.AIdent s
-  | k -> err st (Printf.sprintf "expected annotation argument, found %s" (Token.describe k))
+  | _ -> expected st "annotation argument"
 
 let annotations st : Ast.annotation list =
   let rec go acc =
@@ -87,7 +107,7 @@ let annotations st : Ast.annotation list =
             let a = annotation_arg st in
             if accept st Token.Comma then args (a :: acc) else List.rev (a :: acc)
           in
-          let l = if peek_kind st = Token.RParen then [] else args [] in
+          let l = if is st Token.RParen then [] else args [] in
           expect st Token.RParen "')'";
           l
         end
@@ -135,7 +155,7 @@ let rec typ st : Ast.typ =
       Ast.TVoid
   | Token.Ident _ ->
       let name = ident st in
-      if peek_kind st = Token.LAngle then begin
+      if is st Token.LAngle then begin
         match
           try_parse st (fun st ->
               expect st Token.LAngle "'<'";
@@ -147,7 +167,7 @@ let rec typ st : Ast.typ =
         | None -> Ast.TName name
       end
       else Ast.TName name
-  | k -> err st (Printf.sprintf "expected a type, found %s" (Token.describe k))
+  | _ -> expected st "a type"
 
 and type_args st =
   let rec go acc =
@@ -190,7 +210,7 @@ and land_expr st =
 
 and bor_expr st =
   let rec go acc =
-    if peek_kind st = Token.Pipe then begin
+    if is st Token.Pipe then begin
       advance st;
       go (Ast.EBinop (Ast.BOr, acc, bxor_expr st))
     end
@@ -206,7 +226,7 @@ and bxor_expr st =
 
 and band_expr st =
   let rec go acc =
-    if peek_kind st = Token.Amp then begin
+    if is st Token.Amp then begin
       advance st;
       go (Ast.EBinop (Ast.BAnd, acc, eq_expr st))
     end
@@ -243,8 +263,8 @@ and rel_expr st =
         (* '>' is relational here only when not a '>>' shift (handled in
            shift_expr via adjacency) — single '>' is comparison. *)
         if
-          peek_kind_at st 1 = Token.RAngle
-          && Loc.adjacent (span st) st.toks.(st.cur + 1).Token.span
+          Token.equal_kind (next st).kind Token.RAngle
+          && Loc.adjacent (span st) (next st).span
         then acc (* leave '>>' for shift level *)
         else begin
           advance st;
@@ -261,8 +281,8 @@ and shift_expr st =
         advance st;
         go (Ast.EBinop (Ast.Shl, acc, add_expr st))
     | Token.RAngle
-      when peek_kind_at st 1 = Token.RAngle
-           && Loc.adjacent (span st) st.toks.(st.cur + 1).Token.span ->
+      when Token.equal_kind (next st).kind Token.RAngle
+           && Loc.adjacent (span st) (next st).span ->
         advance st;
         advance st;
         go (Ast.EBinop (Ast.Shr, acc, add_expr st))
@@ -328,7 +348,7 @@ and postfix st =
         go (Ast.EIndex (acc, i))
     | Token.LParen ->
         advance st;
-        let args = if peek_kind st = Token.RParen then [] else expr_list st in
+        let args = if is st Token.RParen then [] else expr_list st in
         expect st Token.RParen "')'";
         go (Ast.ECall (acc, [], args))
     | Token.LAngle -> (
@@ -339,7 +359,7 @@ and postfix st =
               let targs = type_args st in
               close_angle st;
               expect st Token.LParen "'('";
-              let args = if peek_kind st = Token.RParen then [] else expr_list st in
+              let args = if is st Token.RParen then [] else expr_list st in
               expect st Token.RParen "')'";
               (targs, args))
         with
@@ -379,7 +399,7 @@ and primary st =
       (* Either a cast "(bit<8>) e" or a parenthesised expression. Casts
          are only recognised for built-in type heads, which is all the
          corpus uses. *)
-      match peek_kind_at st 1 with
+      match (next st).kind with
       | Token.KwBit | Token.KwInt | Token.KwVarbit | Token.KwBool ->
           advance st;
           let t = typ st in
@@ -391,7 +411,7 @@ and primary st =
           let e = expr st in
           expect st Token.RParen "')'";
           e)
-  | k -> err st (Printf.sprintf "expected expression, found %s" (Token.describe k))
+  | _ -> expected st "expression"
 
 (* ------------------------------------------------------------------ *)
 (* Statements. *)
@@ -412,7 +432,7 @@ let rec stmt st : Ast.stmt =
       Ast.SIf (c, then_, else_)
   | Token.KwReturn ->
       advance st;
-      let e = if peek_kind st = Token.Semi then None else Some (expr st) in
+      let e = if is st Token.Semi then None else Some (expr st) in
       expect st Token.Semi "';'";
       Ast.SReturn e
   | Token.KwConst ->
@@ -442,7 +462,7 @@ let rec stmt st : Ast.stmt =
       with
       | Some s -> s
       | None -> assign_or_call st)
-  | k -> err st (Printf.sprintf "expected statement, found %s" (Token.describe k))
+  | _ -> expected st "statement"
 
 and var_decl_stmt st =
   let t = typ st in
@@ -466,12 +486,12 @@ and assign_or_call st =
   end
 
 and stmt_as_block st : Ast.block =
-  if peek_kind st = Token.LBrace then block st else [ stmt st ]
+  if is st Token.LBrace then block st else [ stmt st ]
 
 and block st : Ast.block =
   expect st Token.LBrace "'{'";
   let rec go acc =
-    if peek_kind st = Token.RBrace then begin
+    if is st Token.RBrace then begin
       advance st;
       List.rev acc
     end
@@ -537,7 +557,7 @@ let field st : Ast.field =
 let fields st : Ast.field list =
   expect st Token.LBrace "'{'";
   let rec go acc =
-    if peek_kind st = Token.RBrace then begin
+    if is st Token.RBrace then begin
       advance st;
       List.rev acc
     end
@@ -598,7 +618,7 @@ let transition st : Ast.transition =
     expect st Token.RParen "')'";
     expect st Token.LBrace "'{'";
     let rec go acc =
-      if peek_kind st = Token.RBrace then begin
+      if is st Token.RBrace then begin
         advance st;
         List.rev acc
       end
@@ -619,13 +639,13 @@ let parser_state st : Ast.parser_state =
   let st_name = ident st in
   expect st Token.LBrace "'{'";
   let rec go acc =
-    if peek_kind st = Token.KwTransition then List.rev acc
-    else if peek_kind st = Token.RBrace then List.rev acc
+    if is st Token.KwTransition then List.rev acc
+    else if is st Token.RBrace then List.rev acc
     else go (stmt st :: acc)
   in
   let st_stmts = go [] in
   let st_trans =
-    if peek_kind st = Token.KwTransition then transition st
+    if is st Token.KwTransition then transition st
     else
       (* implicit reject, modelled as a direct transition *)
       Ast.TDirect (Ast.ident "reject")
@@ -642,7 +662,7 @@ let table_prop st : Ast.table_prop =
       expect st Token.Assign "'='";
       expect st Token.LBrace "'{'";
       let rec go acc =
-        if peek_kind st = Token.RBrace then begin
+        if is st Token.RBrace then begin
           advance st;
           List.rev acc
         end
@@ -660,7 +680,7 @@ let table_prop st : Ast.table_prop =
       expect st Token.Assign "'='";
       expect st Token.LBrace "'{'";
       let rec go acc =
-        if peek_kind st = Token.RBrace then begin
+        if is st Token.RBrace then begin
           advance st;
           List.rev acc
         end
@@ -683,7 +703,7 @@ let table_prop st : Ast.table_prop =
       let e = expr st in
       expect st Token.Semi "';'";
       Ast.PCustom (name, e)
-  | k -> err st (Printf.sprintf "expected table property, found %s" (Token.describe k))
+  | _ -> expected st "table property"
 
 (* Declarations. *)
 
@@ -724,7 +744,7 @@ let rec decl st : Ast.decl =
           let name = ident st in
           expect st Token.LBrace "'{'";
           let rec go acc =
-            if peek_kind st = Token.RBrace then begin
+            if is st Token.RBrace then begin
               advance st;
               List.rev acc
             end
@@ -785,7 +805,7 @@ let rec decl st : Ast.decl =
       else begin
         expect st Token.LBrace "'{'";
         let rec go locals =
-          if peek_kind st = Token.KwApply then List.rev locals
+          if is st Token.KwApply then List.rev locals
           else go (decl st :: locals)
         in
         let locals = go [] in
@@ -805,7 +825,7 @@ let rec decl st : Ast.decl =
       let name = ident st in
       expect st Token.LBrace "'{'";
       let rec go acc =
-        if peek_kind st = Token.RBrace then begin
+        if is st Token.RBrace then begin
           advance st;
           List.rev acc
         end
@@ -818,7 +838,7 @@ let rec decl st : Ast.decl =
       let tps = type_params st in
       if accept st Token.LBrace then begin
         let rec go acc =
-          if peek_kind st = Token.RBrace then begin
+          if is st Token.RBrace then begin
             advance st;
             List.rev acc
           end
@@ -826,7 +846,7 @@ let rec decl st : Ast.decl =
             let m_annots = annotations st in
             let m_ret =
               (* constructor methods have no return type: Name(params); *)
-              if peek_kind_at st 1 = Token.LParen then Ast.TVoid else typ st
+              if Token.equal_kind (next st).kind Token.LParen then Ast.TVoid else typ st
             in
             let m_name = ident st in
             let m_type_params = type_params st in
@@ -860,7 +880,7 @@ let rec decl st : Ast.decl =
       match peek_kind st with
       | Token.LParen ->
           advance st;
-          let args = if peek_kind st = Token.RParen then [] else expr_list st in
+          let args = if is st Token.RParen then [] else expr_list st in
           expect st Token.RParen "')'";
           let name = ident st in
           expect st Token.Semi "';'";
@@ -870,24 +890,21 @@ let rec decl st : Ast.decl =
           let init = if accept st Token.Assign then Some (expr st) else None in
           expect st Token.Semi "';'";
           Ast.DVarTop { annots; typ = t; name; init })
-  | k -> err st (Printf.sprintf "expected declaration, found %s" (Token.describe k))
+  | _ -> expected st "declaration"
 
 (* Lookahead: annotations followed by 'state' (annotated parser state). *)
 and state_annotated st =
-  let saved = st.cur in
+  let saved = st.toks in
   let result =
-    try
-      let _ = annotations st in
-      peek_kind st = Token.KwState
-    with Error _ -> false
+    match try_parse st annotations with Some _ -> is st Token.KwState | None -> false
   in
-  st.cur <- saved;
+  st.toks <- saved;
   result
 
 let parse_program src =
   let st = make (Lexer.tokenize src) in
   let rec go acc =
-    if peek_kind st = Token.Eof then List.rev acc else go (decl st :: acc)
+    if is st Token.Eof then List.rev acc else go (decl st :: acc)
   in
   go []
 

@@ -123,12 +123,15 @@ let keyword_table =
     ("switch", KwSwitch);
   ]
 
+let keyword_name k =
+  List.find_map (fun (name, k') -> if equal_kind k k' then Some name else None) keyword_table
+
 let describe = function
   | Ident s -> Printf.sprintf "identifier %S" s
   | Int { value; _ } -> Printf.sprintf "integer %Ld" value
   | String s -> Printf.sprintf "string %S" s
   | Eof -> "end of input"
   | k -> (
-      match List.find_opt (fun (_, k') -> k' = k) keyword_table with
-      | Some (name, _) -> Printf.sprintf "keyword %S" name
+      match keyword_name k with
+      | Some name -> Printf.sprintf "keyword %S" name
       | None -> show_kind k)

@@ -485,44 +485,6 @@ let value_str = function
   | P4.Eval.VBool b -> string_of_bool b
   | P4.Eval.VUnknown -> "?"
 
-(* Replay the deparser concretely under a fully-valued environment,
-   recording each branch decision; mirrors Dep_ir.run without forking. *)
-exception Stop_walk
-exception Undecidable_walk
-
-let concrete_decisions fx env0 =
-  let locals : (string list, P4.Eval.value) Hashtbl.t = Hashtbl.create 8 in
-  let env path =
-    match Hashtbl.find_opt locals path with
-    | Some v -> Some v
-    | None -> env0 path
-  in
-  let decisions = ref [] in
-  let rec exec nodes = List.iter exec1 nodes
-  and exec1 = function
-    | Ir.NEmit _ | Ir.NOther -> ()
-    | Ir.NIf { i_id; i_cond; i_then; i_else } -> (
-        match P4.Eval.eval_bool env i_cond with
-        | Some b ->
-            decisions := (i_id, b) :: !decisions;
-            exec (if b then i_then else i_else)
-        | None -> raise Undecidable_walk)
-    | Ir.NAssign (l, r) -> (
-        match P4.Eval.path_of_expr l with
-        | Some p -> Hashtbl.replace locals p (P4.Eval.eval env r)
-        | None -> ())
-    | Ir.NDecl (n, init) ->
-        Hashtbl.replace locals [ n ]
-          (match init with
-          | Some e -> P4.Eval.eval env e
-          | None -> P4.Eval.VUnknown)
-    | Ir.NReturn -> raise Stop_walk
-  in
-  match exec fx.fx_ir.Ir.ir_nodes with
-  | () -> Some (List.rev !decisions)
-  | exception Stop_walk -> Some (List.rev !decisions)
-  | exception Undecidable_walk -> None
-
 let check_soundness fx a vals =
   let env = concrete_env fx a vals in
   (* (a) every branch predicate: concrete value ∈ abstract value, with
@@ -540,7 +502,7 @@ let check_soundness fx a vals =
     fx.fx_ir.Ir.ir_ifs;
   (* (b) the concretely-taken path lands on a feasible symbolic leaf:
      pruning never removes a reachable completion. *)
-  match concrete_decisions fx env with
+  match Ir.concrete_decisions fx.fx_ir env with
   | None -> () (* an extern-driven predicate: nothing to compare *)
   | Some ds -> (
       let key = List.sort compare ds in

@@ -74,6 +74,57 @@ let test_lex_positions () =
       check ai "b col" 2 b.span.left.col
   | _ -> Alcotest.fail "expected two tokens"
 
+(* Integer literals must fit in 64 unsigned bits; the error points at the
+   literal's first character. Values up to 2^64-1 keep their bit pattern. *)
+let test_lex_int_overflow () =
+  let overflow src line col =
+    match Lexer.tokenize src with
+    | exception Lexer.Error (msg, p) ->
+        check astr src "integer literal does not fit in 64 bits" msg;
+        check ai (src ^ " line") line p.line;
+        check ai (src ^ " col") col p.col
+    | _ -> Alcotest.failf "%s: expected an overflow error" src
+  in
+  overflow "x = 0x1FFFFFFFFFFFFFFFF;" 1 4;
+  overflow "a\n  18446744073709551617" 2 2;
+  overflow "99999999999999999999w1" 1 0;
+  overflow "8w0b1_0000000000000000000000000000000000000000000000000000000000000000" 1 0;
+  check ab "2^64-1 keeps its bits" true
+    (kinds "0xFFFFFFFFFFFFFFFF 18446744073709551615 0o1777777777777777777777"
+    = [
+        Token.Int { value = -1L; width = None; signed = false };
+        Token.Int { value = -1L; width = None; signed = false };
+        Token.Int { value = -1L; width = None; signed = false };
+        Token.Eof;
+      ])
+
+(* Every minor collection during a parse is one the minor heap filled up
+   for, or the stop-the-world end of a major cycle. Building an array of
+   more than 256 words from a young value, as [Array.of_list] on the
+   token list did, forces one more per parse, which this bounds out. *)
+let test_parse_forces_no_minor_gc () =
+  let catalogue =
+    List.map
+      (fun (m : Nic_models.Model.t) -> Opendesc.Prelude.source ^ m.spec.p4_source)
+      (Nic_models.Catalog.all ())
+  in
+  Gc.full_major ();
+  let g0 = Gc.quick_stat () in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 50 do
+    List.iter (fun src -> ignore (Parser.parse_program src)) catalogue
+  done;
+  let g1 = Gc.quick_stat () in
+  let collections = g1.minor_collections - g0.minor_collections in
+  let major_cycles = g1.major_collections - g0.major_collections in
+  let words = Gc.minor_words () -. w0 in
+  let allowed =
+    int_of_float (words /. float_of_int (Gc.get ()).minor_heap_size) + 1 + major_cycles
+  in
+  if collections > allowed then
+    Alcotest.failf "%d minor collections for %.0f minor words and %d major cycles (at most %d)"
+      collections words major_cycles allowed
+
 (* ------------------------------------------------------------------ *)
 (* Parser: expressions *)
 
@@ -701,6 +752,7 @@ let () =
             test_lex_error_unterminated_comment;
           Alcotest.test_case "bad char" `Quick test_lex_error_bad_char;
           Alcotest.test_case "positions" `Quick test_lex_positions;
+          Alcotest.test_case "64-bit literals" `Quick test_lex_int_overflow;
         ] );
       ( "expr",
         [
@@ -738,6 +790,9 @@ let () =
           Alcotest.test_case "program roundtrip" `Quick test_program_roundtrip;
           Alcotest.test_case "PNA-style corpus" `Quick test_parse_pna_style_corpus;
         ] );
+      ( "alloc",
+        [ Alcotest.test_case "parse forces no minor GC" `Quick test_parse_forces_no_minor_gc ]
+      );
       ( "errors",
         [
           Alcotest.test_case "located" `Quick test_errors_located;
